@@ -42,9 +42,11 @@ from .serialize import FormatError, load_context, load_eta, load_graph, load_wit
 from .tropical import (
     InfeasibilityCertificate,
     TropicalWitness,
+    decide,
     integralize_witness,
     tropical_certificate,
     tropical_feasibility,
+    verify_certificate,
     verify_witness,
 )
 
@@ -73,6 +75,7 @@ __all__ = [
     "component_count",
     "corpus_list",
     "corpus_load",
+    "decide",
     "eliminate_unit_entries",
     "enumerate_edge_decorations",
     "expected_dim_main",
@@ -94,5 +97,6 @@ __all__ = [
     "tropical_certificate",
     "tropical_feasibility",
     "validate_graph",
+    "verify_certificate",
     "verify_witness",
 ]

@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 axiom violations (the report is still printed),
-1 structural or IO errors.  Output is plain text by default, JSON with
---json; setting LOGCONE_COLOR enables ANSI highlighting of verdicts in
-text mode.
+Exit codes: 0 success, 2 axiom violations or tropical infeasibility (the
+report is still printed), 1 structural or IO errors.  Output is plain text
+by default, JSON with --json; setting LOGCONE_COLOR enables ANSI
+highlighting of verdicts in text mode.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .serialize import (
     load_eta,
     load_graph,
 )
+from .tropical import decide
 
 
 def _color_enabled() -> bool:
@@ -122,7 +123,7 @@ def _cmd_lattice(args) -> int:
 
 def _cmd_tropical(args) -> int:
     graph = load_graph(args.input)
-    data = tropical_to_dict(graph)
+    data = tropical_to_dict(*decide(graph))
     if data["feasible"]:
         lines = [_good("feasible")]
         for vid, row in data["witness"]["s"].items():
@@ -131,11 +132,10 @@ def _cmd_tropical(args) -> int:
             lines.append(f"  lambda[{eid}] = {value}")
     else:
         lines = [_bad("infeasible")]
-        cert = data["certificate"]
-        lines.append(f"  equality duals   {cert['equality_duals']}")
-        lines.append(f"  inequality duals {cert['inequality_duals']}")
+        for eid, row in data["certificate"]["multipliers"].items():
+            lines.append(f"  multipliers[{eid}] = {row}")
     _emit(data, args.json, lines)
-    return 0
+    return 0 if data["feasible"] else 2
 
 
 def _cmd_cone(args) -> int:
@@ -189,7 +189,7 @@ def _cmd_forget(args) -> int:
 
 def _cmd_obstruct(args) -> int:
     graph = load_graph(args.input)
-    eta = load_eta(args.eta)
+    eta = load_eta(args.eta, graph)
     verdict = obstruction_test(graph, eta, args.tol)
     data = {
         "is_identity": verdict.is_identity,

@@ -202,6 +202,17 @@ def validate_graph(graph: DecoratedDualGraph, ctx: GeometryContext | None = None
     reported separately, since it is an existence statement rather than a
     local axiom.
     """
+    violations, warnings = _axiom_check(graph, ctx)
+    feasible = None
+    if not violations:
+        from .tropical import decide
+
+        feasible = decide(graph)[0] is not None
+    return ValidationReport(violations, warnings, feasible)
+
+
+def _axiom_check(graph: DecoratedDualGraph, ctx: GeometryContext | None):
+    """The local axioms of :func:`validate_graph`: (violations, warnings)."""
     violations: list[Violation] = []
     warnings: list[str] = []
 
@@ -261,13 +272,7 @@ def validate_graph(graph: DecoratedDualGraph, ctx: GeometryContext | None = None
         if 2 * v.genus - 2 + valence <= 0:
             warnings.append(f"vertex {v.id} may be unstable (2g-2+valence = {2 * v.genus - 2 + valence})")
 
-    feasible = None
-    if not violations:
-        from .tropical import tropical_feasibility
-
-        feasible = tropical_feasibility(graph) is not None
-
-    return ValidationReport(tuple(violations), tuple(warnings), feasible)
+    return tuple(violations), tuple(warnings)
 
 
 def arithmetic_genus(graph: DecoratedDualGraph) -> int:

@@ -12,10 +12,10 @@ import hashlib
 from . import __version__
 from .cone import DEFAULT_TOL, gluing_equations, sigma_cone, toric_ideal_generators
 from .dims import expected_dim_stratum
-from .graph import DecoratedDualGraph, GeometryContext, arithmetic_genus, validate_graph
+from .graph import DecoratedDualGraph, GeometryContext, ValidationReport, _axiom_check, arithmetic_genus
 from .lattice import component_count, lattice_summary
-from .serialize import SCHEMA_TAG, rational_to_str, witness_to_dict
-from .tropical import tropical_certificate, tropical_feasibility
+from .serialize import SCHEMA_TAG, certificate_to_dict, witness_to_dict
+from .tropical import decide
 
 
 def _label_str(label: tuple) -> str:
@@ -45,18 +45,11 @@ def lattice_to_dict(summary) -> dict:
     }
 
 
-def tropical_to_dict(graph: DecoratedDualGraph) -> dict:
-    witness = tropical_feasibility(graph)
+def tropical_to_dict(witness, cert) -> dict:
+    """The ``tropical`` block of a report from one :func:`decide` result."""
     if witness is not None:
         return {"feasible": True, "witness": witness_to_dict(witness)}
-    cert = tropical_certificate(graph)
-    return {
-        "feasible": False,
-        "certificate": {
-            "equality_duals": [rational_to_str(d) for d in cert.equality_duals],
-            "inequality_duals": [rational_to_str(d) for d in cert.inequality_duals],
-        },
-    }
+    return {"feasible": False, "certificate": certificate_to_dict(cert)}
 
 
 def cone_to_dict(cone) -> dict:
@@ -98,22 +91,26 @@ def build_report(
     ctx: GeometryContext | None = None,
     tol: float = DEFAULT_TOL,
 ) -> dict:
-    validation = validate_graph(graph, ctx)
+    # the axiom checks and tropical decision of validate_graph, with the one
+    # tropical solve shared by the validation and tropical blocks
+    violations, warnings = _axiom_check(graph, ctx)
+    decision = None if violations else decide(graph)
+    feasible = None if decision is None else decision[0] is not None
     out = {
         "schema": SCHEMA_TAG,
         "provenance": {
             "input_sha256": hashlib.sha256(raw_bytes).hexdigest(),
             "library_version": __version__,
         },
-        "validation": validation_to_dict(validation),
+        "validation": validation_to_dict(ValidationReport(violations, warnings, feasible)),
     }
-    if validation.violations:
+    if violations:
         return out
     summary = lattice_summary(graph)
     out["genus"] = arithmetic_genus(graph)
     out["lattice"] = lattice_to_dict(summary)
     out["component_count"] = component_count(graph)
-    out["tropical"] = tropical_to_dict(graph)
+    out["tropical"] = tropical_to_dict(*decision)
     out["cone"] = cone_to_dict(sigma_cone(graph))
     out["gluing"] = binomials_to_dict(gluing_equations(graph))
     out["toric_ideal"] = binomials_to_dict(toric_ideal_generators(graph))

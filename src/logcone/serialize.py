@@ -8,6 +8,7 @@ are reported with JSON-pointer paths.
 
 from __future__ import annotations
 
+import cmath
 import json
 from fractions import Fraction
 from importlib import resources
@@ -23,7 +24,7 @@ from .graph import (
     StructuralError,
     VertexData,
 )
-from .tropical import TropicalWitness
+from .tropical import InfeasibilityCertificate, TropicalWitness
 
 SCHEMA_TAG = "logcone/1"
 
@@ -190,27 +191,57 @@ def witness_to_dict(witness: TropicalWitness) -> dict:
     }
 
 
-def _complex_from_json(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, str):
-        return complex(Fraction(value))
-    if isinstance(value, list) and len(value) == 2:
-        return complex(value[0], value[1])
-    raise FormatError(f"eta entries must be numbers, 'p/q' strings, or [re, im] pairs, got {value!r}")
+def certificate_to_dict(cert: InfeasibilityCertificate) -> dict:
+    multipliers: dict[str, dict[str, int]] = {}
+    for (eid, label), y in sorted(cert.multipliers.items()):
+        multipliers.setdefault(eid, {})[label] = y
+    return {"multipliers": multipliers}
 
 
-def eta_from_dict(data: dict) -> ObstructionInput:
+def _complex_from_json(value, pointer: str) -> complex:
+    def real(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    pair = isinstance(value, list) and len(value) == 2 and all(real(x) for x in value)
+    if not (real(value) or isinstance(value, str) or pair):
+        raise FormatError(
+            f"{pointer}: eta entries must be numbers, 'p/q' strings, or [re, im] pairs, got {value!r}"
+        )
+    try:
+        if isinstance(value, str):
+            z = complex(Fraction(value))
+        elif pair:
+            z = complex(value[0], value[1])
+        else:
+            z = complex(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"{pointer}: bad rational {value!r}: {exc}") from None
+    except OverflowError:
+        z = complex("inf")
+    if not cmath.isfinite(z):
+        raise FormatError(f"{pointer}: eta entry {value!r} is not finite")
+    return z
+
+
+def eta_from_dict(data: dict, graph: DecoratedDualGraph) -> ObstructionInput:
+    """Eta values keyed by the graph's (edge id, label in edge depth) nodes;
+    an entry for any other edge or label is an error, not ignored."""
     if not isinstance(data, dict) or data.get("schema") != SCHEMA_TAG:
         raise FormatError('eta file must be an object with "schema": "logcone/1"')
     if "eta" not in data or not isinstance(data["eta"], dict):
         raise FormatError('eta file must carry an "eta" object keyed by edge id')
+    depth = {e.id: e.depth for e in graph.edges}
     eta = {}
     for eid, row in data["eta"].items():
+        if eid not in depth:
+            raise FormatError(f"/eta/{eid}: the graph has no edge {eid!r}")
         if not isinstance(row, dict):
-            raise FormatError(f"eta entry for edge {eid!r} must be a label->value object")
+            raise FormatError(f"/eta/{eid}: eta entry for edge {eid!r} must be a label->value object")
         for label, value in row.items():
-            eta[(eid, label)] = _complex_from_json(value)
+            pointer = f"/eta/{eid}/{label}"
+            if label not in depth[eid]:
+                raise FormatError(f"{pointer}: label {label!r} is not in the depth of edge {eid!r}")
+            eta[(eid, label)] = _complex_from_json(value, pointer)
     return ObstructionInput(eta)
 
 
@@ -234,8 +265,8 @@ def load_witness(path) -> TropicalWitness:
     return witness_from_dict(load_json(path))
 
 
-def load_eta(path) -> ObstructionInput:
-    return eta_from_dict(load_json(path))
+def load_eta(path, graph: DecoratedDualGraph) -> ObstructionInput:
+    return eta_from_dict(load_json(path), graph)
 
 
 def dump_json(data: dict) -> str:

@@ -1,10 +1,16 @@
-"""Exact rational linear programming via the two-phase primal simplex.
+"""Exact rational simplex: strict feasibility of homogeneous systems.
 
 All arithmetic is in :class:`fractions.Fraction`; Bland's smallest-index
 rule guarantees termination.  Infeasibility and optimality are therefore
 proofs, not tolerance calls, which is what the tropical-feasibility
 decision needs.  Problems here are tiny (tens of variables), so a dense
 tableau is plenty.
+
+:func:`positive_kernel_point` is the solver the package uses: one phase-1
+tableau decides whether A x = 0 has a strictly positive solution and
+returns either such an x or a Stiemke multiplier vector.  :func:`solve_lp`
+is the general two-phase LP over free variables; nothing in the package
+calls it, and it stays because ``perfbench/spans.py`` wraps it by name.
 """
 
 from __future__ import annotations
@@ -45,11 +51,12 @@ def _simplex(T, basis, n_cols):
             return False
         _, leave = best
         piv = T[leave][enter]
-        T[leave] = [x / piv for x in T[leave]]
+        # the tableau is mostly zeros; skipping them skips Fraction arithmetic
+        T[leave] = [x / piv if x else x for x in T[leave]]
         for i in range(len(T)):
             if i != leave and T[i][enter] != 0:
                 f = T[i][enter]
-                T[i] = [a - f * b for a, b in zip(T[i], T[leave])]
+                T[i] = [a - f * b if b else a for a, b in zip(T[i], T[leave])]
         basis[leave] = enter
 
 
@@ -143,3 +150,46 @@ def solve_lp(c, a_eq, b_eq, a_ub, b_ub, maximize=False) -> LPResult:
         value = -value
         duals = [-d for d in duals]
     return LPResult("optimal", value, x, duals)
+
+
+def positive_kernel_point(a, n):
+    """Decide whether A x = 0 has a solution with every x_j > 0.
+
+    ``a`` is the list of rows of A, each of length ``n``.  Returns
+    ``(x, None)`` with A x = 0 and every x_j >= 1, or ``(None, u)`` with one
+    rational per row such that u^T A >= 0 and u^T A != 0 (Stiemke's
+    alternative), which rules out every positive x because u^T A x would
+    be both 0 and positive.
+
+    The system is homogeneous, so a positive solution can be scaled to
+    x >= 1; substituting x = 1 + y leaves the phase-1 problem
+    min sum(art) subject to A y + art = -A 1, y >= 0, art >= 0.  At a
+    phase-1 optimum with value > 0 the reduced cost of artificial i is
+    r_i = 1 - w_i for the row duals w, so u = (r_i - 1) * sign_i satisfies
+    u^T A >= 0 and u^T A 1 = value > 0.
+    """
+    m = len(a)
+    width = n + m
+    T = []
+    signs = []
+    for i, row in enumerate(a):
+        rhs = -sum(row)
+        sign = -1 if rhs < 0 else 1
+        line = [Fraction(sign * v) for v in row] + [Fraction(0)] * (m + 1)
+        line[n + i] = Fraction(1)
+        line[-1] = Fraction(sign * rhs)
+        T.append(line)
+        signs.append(sign)
+    # reduced costs of the phase-1 objective with the artificials basic
+    obj = [-sum(T[i][j] for i in range(m)) for j in range(n)]
+    obj += [Fraction(0)] * m + [-sum(T[i][-1] for i in range(m))]
+    T.append(obj)
+    basis = [n + i for i in range(m)]
+    _simplex(T, basis, width)
+    if T[-1][-1] == 0:
+        x = [Fraction(1)] * n
+        for i, col in enumerate(basis):
+            if col < n:
+                x[col] += T[i][-1]
+        return x, None
+    return None, [(T[-1][n + i] - 1) * signs[i] for i in range(m)]

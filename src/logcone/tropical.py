@@ -2,20 +2,24 @@
 
 A graph is tropically feasible when there are vertex positions s_v (strictly
 positive exactly on the depth coordinates) and edge lengths lambda_e > 0
-with s_head - s_tail = lambda_e * s_e for every edge.  The decision is an
-exact rational LP: maximize t subject to those equalities and s >= t,
-lambda >= t, t <= 1.  The constraint system is homogeneous, so the optimum
-is either 0 (infeasible, with a dual certificate) or 1 (feasible).
+with s_head - s_tail = lambda_e * s_e for every edge.  Those equalities form
+a homogeneous integer system A x = 0 over x = (s on the depth coordinates,
+lambda on the edges with nonzero contact; a zero-contact edge keeps
+lambda = 1), and feasibility is strict feasibility x > 0.  :func:`decide`
+settles it with one exact phase-1 solve and returns either a witness or,
+by Stiemke's theorem, integer multipliers y on the (edge, label) equalities
+with y^T A >= 0 and y^T A != 0.  Both can be checked independently with
+:func:`verify_witness` and :func:`verify_certificate`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .graph import DecoratedDualGraph, StructuralError
-from .simplex import solve_lp
+from .simplex import positive_kernel_point
 
 
 @dataclass(frozen=True)
@@ -31,91 +35,76 @@ class TropicalWitness:
 
 @dataclass(frozen=True)
 class InfeasibilityCertificate:
-    """Dual multipliers proving the feasibility LP is capped at t* = 0."""
+    """Stiemke multipliers proving that no tropical data exists.
 
-    equality_duals: tuple[Fraction, ...]
-    inequality_duals: tuple[Fraction, ...]
-
-
-def _lp_data(graph: DecoratedDualGraph):
-    svars = []
-    for v in sorted(graph.vertices, key=lambda v: v.id):
-        for label in sorted(v.depth, key=graph.divisors.index):
-            svars.append((v.id, label))
-    lvars = [e.id for e in sorted(graph.edges, key=lambda e: e.id)]
-    index = {("s", *sv): i for i, sv in enumerate(svars)}
-    index.update({("lam", eid): len(svars) + i for i, eid in enumerate(lvars)})
-    t_col = len(svars) + len(lvars)
-    return svars, lvars, index, t_col
-
-
-def tropical_feasibility(graph: DecoratedDualGraph):
-    """Return a TropicalWitness, or None with a certificate attached.
-
-    The return value of the infeasible case is None; call
-    :func:`tropical_certificate` for the dual proof.
+    One integer per (edge id, divisor label) equality, zero entries omitted;
+    y^T A is nonnegative on every position and length and nonzero on some.
     """
-    witness, _ = _decide(graph)
-    return witness
+
+    multipliers: dict[tuple[str, str], int]
 
 
-def tropical_certificate(graph: DecoratedDualGraph) -> InfeasibilityCertificate | None:
-    """Dual certificate of infeasibility, or None when feasible."""
-    _, cert = _decide(graph)
-    return cert
+def _equalities(graph: DecoratedDualGraph):
+    """Columns and nonzero rows of the edge-equality matrix A.
 
-
-def _decide(graph: DecoratedDualGraph):
-    svars, lvars, index, t_col = _lp_data(graph)
-    ncols = t_col + 1
-    a_eq, b_eq = [], []
-    for e in sorted(graph.edges, key=lambda e: e.id):
+    Columns are ("s", vertex id, label) for each depth coordinate and
+    ("lambda", edge id) for each edge with nonzero contact; rows are keyed by
+    (edge id, label), in edge-id then divisor order.
+    """
+    columns = [
+        ("s", v.id, label)
+        for v in sorted(graph.vertices, key=lambda v: v.id)
+        for label in sorted(v.depth, key=graph.divisors.index)
+    ]
+    edges = sorted(graph.edges, key=lambda e: e.id)
+    columns += [("lambda", e.id) for e in edges if any(e.contact)]
+    index = {col: j for j, col in enumerate(columns)}
+    keys, rows = [], []
+    for e in edges:
         head = graph.vertex(e.v2)
         tail = graph.vertex(e.v1)
         for label, se in zip(graph.divisors, e.contact):
-            row = [0] * ncols
+            row = [0] * len(columns)
             if label in head.depth:
                 row[index[("s", e.v2, label)]] += 1
             if label in tail.depth:
                 row[index[("s", e.v1, label)]] -= 1
-            row[index[("lam", e.id)]] -= se
+            if se:
+                row[index[("lambda", e.id)]] -= se
             if any(row):
-                a_eq.append(row)
-                b_eq.append(0)
-    a_ub, b_ub = [], []
-    for key, col in sorted(index.items(), key=lambda kv: kv[1]):
-        row = [0] * ncols
-        row[t_col] = 1
-        row[col] = -1
-        a_ub.append(row)
-        b_ub.append(0)
-    cap = [0] * ncols
-    cap[t_col] = 1
-    a_ub.append(cap)
-    b_ub.append(1)
+                keys.append((e.id, label))
+                rows.append(row)
+    return columns, keys, rows
 
-    c = [0] * ncols
-    c[t_col] = 1
-    result = solve_lp(c, a_eq, b_eq, a_ub, b_ub, maximize=True)
-    assert result.status == "optimal"  # t = 0 with everything zero is always feasible
-    if result.value > 0:
-        s = {}
-        for sv in svars:
-            val = result.x[index[("s", *sv)]]
-            if val:
-                s[sv] = val
-        lam = {}
-        for e in graph.edges:
-            if any(e.contact):
-                lam[e.id] = result.x[index[("lam", e.id)]]
-            else:
-                lam[e.id] = Fraction(1)  # unconstrained length, normalized
+
+def decide(graph: DecoratedDualGraph):
+    """Decide tropical feasibility with one exact solve.
+
+    Returns ``(witness, None)`` when the graph is feasible and
+    ``(None, certificate)`` when it is not.
+    """
+    columns, keys, rows = _equalities(graph)
+    x, u = positive_kernel_point(rows, len(columns))
+    if x is not None:
+        value = dict(zip(columns, x))
+        s = {(col[1], col[2]): v for col, v in value.items() if col[0] == "s"}
+        lam = {e.id: value.get(("lambda", e.id), Fraction(1)) for e in graph.edges}
         return TropicalWitness(s, lam), None
-    n_eq = len(a_eq)
-    cert = InfeasibilityCertificate(
-        tuple(result.duals[:n_eq]), tuple(result.duals[n_eq:])
-    )
-    return None, cert
+    scale = lcm(*(q.denominator for q in u))
+    ints = [int(q * scale) for q in u]
+    g = gcd(*ints)
+    multipliers = {key: y // g for key, y in zip(keys, ints) if y}
+    return None, InfeasibilityCertificate(multipliers)
+
+
+def tropical_feasibility(graph: DecoratedDualGraph) -> TropicalWitness | None:
+    """A TropicalWitness, or None when the graph is infeasible."""
+    return decide(graph)[0]
+
+
+def tropical_certificate(graph: DecoratedDualGraph) -> InfeasibilityCertificate | None:
+    """Stiemke certificate of infeasibility, or None when feasible."""
+    return decide(graph)[1]
 
 
 def verify_witness(graph: DecoratedDualGraph, witness: TropicalWitness):
@@ -153,6 +142,47 @@ def verify_witness(graph: DecoratedDualGraph, witness: TropicalWitness):
                     f"edge {e.id}, coordinate {label}: {h} - {t} != {lam} * {se}"
                 )
     return (not violations), violations
+
+
+def verify_certificate(graph: DecoratedDualGraph, cert: InfeasibilityCertificate):
+    """Exact check of an infeasibility certificate; returns (ok, problems).
+
+    Rebuilds y^T A from the graph's edges (loops included, where the two
+    position terms cancel): each multiplier y[e, label] adds y to
+    s[head, label] and -y to s[tail, label] when the label is in that
+    vertex's depth, and -y * contact to lambda_e.  The certificate holds
+    when every entry of y^T A is >= 0 and some entry is > 0; then
+    y^T A x > 0 for every positive x, so A x = 0 has no positive solution.
+    """
+    edges = {e.id: e for e in graph.edges}
+    for (eid, label) in cert.multipliers:
+        if eid not in edges or label not in graph.divisors:
+            raise StructuralError(f"certificate multiplier indexed by unknown ({eid!r}, {label!r})")
+
+    totals = {}
+    for v in graph.vertices:
+        for label in v.depth:
+            totals[("s", v.id, label)] = 0
+    for e in graph.edges:
+        if any(e.contact):
+            totals[("lambda", e.id)] = 0
+    for (eid, label), y in cert.multipliers.items():
+        e = edges[eid]
+        if label in graph.vertex(e.v2).depth:
+            totals[("s", e.v2, label)] += y
+        if label in graph.vertex(e.v1).depth:
+            totals[("s", e.v1, label)] -= y
+        se = e.contact[graph.divisor_index(label)]
+        if se:
+            totals[("lambda", e.id)] -= y * se
+    problems = [
+        f"y^T A at {col[0]}[{', '.join(col[1:])}] = {total} is negative"
+        for col, total in sorted(totals.items())
+        if total < 0
+    ]
+    if not any(totals.values()):
+        problems.append("y^T A vanishes on every position and length")
+    return (not problems), problems
 
 
 def integralize_witness(witness: TropicalWitness) -> TropicalWitness:

@@ -13,6 +13,7 @@ from logcone.serialize import (
     witness_from_dict,
     witness_to_dict,
 )
+from logcone.tropical import InfeasibilityCertificate, verify_certificate
 
 from helpers import random_witness_graph
 
@@ -95,8 +96,28 @@ def test_lattice_and_tropical_json(corpus_dir, capsys):
     assert data["component_count"] == 2
 
     code, out, _ = run(capsys, "tropical", str(corpus_dir / "ex32.json"), "--json")
-    assert code == 0
+    assert code == 2
     assert json.loads(out)["feasible"] is False
+
+
+def test_tropical_exit_codes_and_certificate(corpus_dir, capsys):
+    code, out, _ = run(capsys, "tropical", str(corpus_dir / "toricex.json"))
+    assert code == 0
+    assert out.startswith("feasible")
+
+    code, out, _ = run(capsys, "tropical", str(corpus_dir / "ex32.json"))
+    assert code == 2
+    assert out.splitlines()[0] == "infeasible"
+    assert "  multipliers[e1] = {'1': -1, '2': 1}" in out.splitlines()
+    assert "duals" not in out
+
+    code, out, _ = run(capsys, "tropical", str(corpus_dir / "ex32.json"), "--json")
+    assert code == 2
+    cert = json.loads(out)["certificate"]
+    assert set(cert) == {"multipliers"}
+    multipliers = {(eid, lab): y for eid, row in cert["multipliers"].items() for lab, y in row.items()}
+    ok, problems = verify_certificate(corpus_load("ex32").graph, InfeasibilityCertificate(multipliers))
+    assert ok, problems
 
 
 def test_cone_gluing_ideal_dims(corpus_dir, capsys):
@@ -154,6 +175,27 @@ def test_obstruct_command(corpus_dir, tmp_path, capsys):
     code, out, _ = run(capsys, "obstruct", str(corpus_dir / "toricex.json"), str(path), "--json")
     assert code == 0
     assert json.loads(out)["is_identity"] is False
+
+
+@pytest.mark.parametrize(
+    "edge, row, pointer",
+    [
+        ("e1", {"1": [1e400, 0], "2": 1}, "/eta/e1/1"),
+        ("e1", {"1": "1" + "0" * 400, "2": 1}, "/eta/e1/1"),
+        ("e9", {"1": 1}, "/eta/e9"),
+        ("e1", {"1": 1, "2": 1, "7": 1}, "/eta/e1/7"),
+    ],
+)
+def test_obstruct_rejects_bad_eta(corpus_dir, tmp_path, capsys, edge, row, pointer):
+    eta = {"e1": {"1": 1, "2": 1}, "e2": {"1": 1, "2": 1}}
+    eta[edge] = row
+    path = tmp_path / "eta.json"
+    # json.dumps writes the float inf as Infinity; the file carries 1e400
+    path.write_text(json.dumps({"schema": "logcone/1", "eta": eta}).replace("Infinity", "1e400"))
+    code, out, err = run(capsys, "obstruct", str(corpus_dir / "toricex.json"), str(path), "--json")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {pointer}: ")
 
 
 def test_report_single_file_deterministic(corpus_dir, capsys):

@@ -3,13 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from logcone import report, tropical
 from logcone.corpus import corpus_load
 from logcone.graph import StructuralError
 from logcone.tropical import (
+    InfeasibilityCertificate,
     TropicalWitness,
+    decide,
     integralize_witness,
     tropical_certificate,
     tropical_feasibility,
+    verify_certificate,
     verify_witness,
 )
 
@@ -21,7 +25,61 @@ def test_ex32_infeasible_with_certificate():
     assert tropical_feasibility(g) is None
     cert = tropical_certificate(g)
     assert cert is not None
-    assert any(d != 0 for d in cert.equality_duals + cert.inequality_duals)
+    ok, problems = verify_certificate(g, cert)
+    assert ok, problems
+
+
+@pytest.mark.parametrize("n_divisors", [1, 2])
+def test_certificates_verify_on_random_infeasible_graphs(n_divisors):
+    rng = random.Random(40 + n_divisors)
+    infeasible = 0
+    for _ in range(60):
+        g = random_free_graph(rng, n_divisors=n_divisors)
+        witness, cert = decide(g)
+        assert (witness is None) != (cert is None)
+        if cert is None:
+            continue
+        infeasible += 1
+        assert all(isinstance(y, int) for y in cert.multipliers.values())
+        ok, problems = verify_certificate(g, cert)
+        assert ok, problems
+    assert infeasible >= 10
+
+
+def test_verify_certificate_rejects_tampering():
+    g = corpus_load("ex32").graph
+    cert = tropical_certificate(g)
+    negated = InfeasibilityCertificate({k: -y for k, y in cert.multipliers.items()})
+    ok, problems = verify_certificate(g, negated)
+    assert not ok
+    assert any("negative" in p for p in problems)
+    ok, problems = verify_certificate(g, InfeasibilityCertificate({}))
+    assert not ok
+    assert problems == ["y^T A vanishes on every position and length"]
+
+
+def test_verify_certificate_rejects_unknown_indices():
+    g = corpus_load("ex32").graph
+    with pytest.raises(StructuralError):
+        verify_certificate(g, InfeasibilityCertificate({("e9", "1"): 1}))
+    with pytest.raises(StructuralError):
+        verify_certificate(g, InfeasibilityCertificate({("e1", "7"): 1}))
+
+
+@pytest.mark.parametrize("name", ["d1rd22pt", "ex32"])
+def test_build_report_solves_once(name, monkeypatch):
+    calls = []
+    solve = tropical.positive_kernel_point
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(tropical, "positive_kernel_point", counted)
+    entry = corpus_load(name)
+    out = report.build_report(entry.graph, b"", entry.context)
+    assert len(calls) == 1
+    assert out["validation"]["tropical_feasible"] == (name != "ex32")
 
 
 def test_corrected_ex32_feasible_and_stored_witness_verifies():
