@@ -18,7 +18,7 @@ from .cone import DEFAULT_TOL, gluing_equations, obstruction_test, sigma_cone, t
 from .corpus import corpus_list, corpus_load
 from .dims import expected_dim_stratum
 from .graph import StructuralError, arithmetic_genus, restrict_graph, validate_graph
-from .lattice import component_count, lattice_summary
+from .lattice import _component_count, lattice_summary
 from .report import (
     binomials_to_dict,
     build_report,
@@ -103,7 +103,7 @@ def _cmd_lattice(args) -> int:
     graph = load_graph(args.input)
     summary = lattice_summary(graph)
     data = lattice_to_dict(summary)
-    data["component_count"] = component_count(graph)
+    data["component_count"] = _component_count(summary)
     rows = [
         ("domain dim", str(len(summary.domain))),
         ("target dim", str(len(summary.target))),

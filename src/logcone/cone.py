@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import intlinalg as il
 from .dd import extreme_rays
 from .graph import DecoratedDualGraph
-from .lattice import IndexedBasis, build_rho, domain_basis, lattice_summary, target_basis
+from .lattice import IndexedBasis, LatticeSummary, build_rho, domain_basis, lattice_summary
 
 DEFAULT_TOL = 1e-9
 
@@ -38,7 +38,11 @@ def sigma_cone(graph: DecoratedDualGraph) -> ConeDescription:
     parametrized by its lattice basis and each ambient coordinate pulls
     back to a halfspace.  Rays are primitive, lex-sorted.
     """
-    summary = lattice_summary(graph)
+    return _sigma_cone(lattice_summary(graph))
+
+
+def _sigma_cone(summary: LatticeSummary) -> ConeDescription:
+    """:func:`sigma_cone` from an existing lattice summary."""
     kernel = [list(row) for row in summary.kernel_basis]
     ambient = len(summary.domain)
     kdim = len(kernel)
@@ -142,7 +146,11 @@ def toric_ideal_generators(graph: DecoratedDualGraph) -> BinomialSystem:
     :func:`eliminate_unit_entries` and the parametrization check in the
     test-suite for the verification contract).
     """
-    summary = lattice_summary(graph)
+    return _toric_ideal_generators(lattice_summary(graph))
+
+
+def _toric_ideal_generators(summary: LatticeSummary) -> BinomialSystem:
+    """:func:`toric_ideal_generators` from an existing lattice summary."""
     dom = summary.domain
     kernel = [list(r) for r in summary.kernel_basis]
     if not kernel:
@@ -214,8 +222,9 @@ def obstruction_test(
 
     Membership holds iff every character annihilating the image evaluates
     to 1 on eta; the character lattice is the (saturated) integer kernel of
-    the transposed lattice map, extracted exactly.  Only the final
-    evaluation |eta^m - 1| is numerical.
+    the transposed lattice map, extracted exactly and reduced to its
+    Hermite basis, whose small entries keep the float evaluation accurate.
+    Only the final evaluation |eta^m - 1| is numerical.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -229,7 +238,7 @@ def obstruction_test(
         if z == 0:
             raise ValueError(f"eta entry for edge {lab[1]!r}, label {lab[2]!r} is zero")
         values.append(z)
-    characters = il.left_kernel_basis(rho)
+    characters = il.hermite_row_basis(il.left_kernel_basis(rho))
     log_safe = all(1e-6 <= abs(z) <= 1e6 for z in values)
     violations = []
     for m in characters:

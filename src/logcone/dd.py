@@ -37,19 +37,29 @@ def _independent_rows(A: il.Matrix, k: int) -> list[int]:
 
 
 def _initial_rays(A: il.Matrix, idx: list[int]) -> list[list[int]]:
-    """Extreme rays of the simplicial cone {x : A[idx] x >= 0}."""
-    M = [A[i] for i in idx]
+    """Extreme rays of the simplicial cone {x : A[idx] x >= 0}.
+
+    With M = A[idx] the rays are the columns of M^-1.  One fraction-free
+    Gauss-Jordan elimination of [M | I] (Bareiss) leaves d * M^-1 in the
+    right block, d = +-det M being the last pivot; every division in it
+    is exact.  Column j times the sign of d is |det M| * M^-1 e_j.
+    """
     k = len(idx)
-    d = il.det(M)
-    rays = []
-    for j in range(k):
-        # solve M r = sign(d) * det * e_j, integer by Cramer
-        rhs = [0] * k
-        rhs[j] = abs(d)
-        sol = il.solve_rational(M, rhs)
-        assert all(x.denominator == 1 for x in sol)
-        rays.append(il.primitive([int(x) for x in sol]))
-    return rays
+    T = [list(A[i]) + [int(r == c) for c in range(k)] for r, i in enumerate(idx)]
+    prev = 1
+    for c in range(k):
+        if T[c][c] == 0:
+            p = next(i for i in range(c + 1, k) if T[i][c] != 0)
+            T[c], T[p] = T[p], T[c]
+        piv = T[c][c]
+        pivot_row = T[c]
+        for i in range(k):
+            if i != c:
+                f = T[i][c]
+                T[i] = [(piv * a - f * b) // prev for a, b in zip(T[i], pivot_row)]
+        prev = piv
+    sign = 1 if prev > 0 else -1
+    return [il.primitive([sign * T[i][k + j] for i in range(k)]) for j in range(k)]
 
 
 def extreme_rays(A: il.Matrix) -> list[list[int]]:

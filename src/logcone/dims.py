@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import DecoratedDualGraph, GeometryContext, arithmetic_genus
-from .lattice import lattice_summary
+from .lattice import LatticeSummary, lattice_summary
 
 
 def expected_dim_main(ctx: GeometryContext, g: int, k: int, degree_tags) -> int:
@@ -52,12 +52,18 @@ def expected_dim_stratum(
     only for the one-vertex, edgeless, depth-empty graph, in which case
     the stratum is the main stratum.
     """
+    return _expected_dim_stratum(graph, ctx, lattice_summary(graph), k)
+
+
+def _expected_dim_stratum(
+    graph: DecoratedDualGraph, ctx: GeometryContext, summary: LatticeSummary, k: int | None = None
+) -> DimensionReport:
+    """:func:`expected_dim_stratum` with the graph's lattice summary given."""
     if k is None:
         k = len(graph.legs)
     g = arithmetic_genus(graph)
     tags = [v.degree for v in graph.vertices]
     main = expected_dim_main(ctx, g, k, tags)
-    summary = lattice_summary(graph)
     kdim = len(summary.kernel_basis)
     stratum = main - kdim
 

@@ -51,8 +51,9 @@ def _swap_rows(M: Matrix, i: int, j: int) -> None:
     M[i], M[j] = M[j], M[i]
 
 
-def _swap_cols(M: Matrix, i: int, j: int) -> None:
-    for row in M:
+def _swap_cols(M: Matrix, i: int, j: int, first_row: int) -> None:
+    """Swap columns i and j in the rows from ``first_row`` on."""
+    for row in M[first_row:]:
         row[i], row[j] = row[j], row[i]
 
 
@@ -60,13 +61,132 @@ def _add_row(M: Matrix, dst: int, src: int, c: int) -> None:
     M[dst] = [a + c * b for a, b in zip(M[dst], M[src])]
 
 
-def _add_col(M: Matrix, dst: int, src: int, c: int) -> None:
-    for row in M:
-        row[dst] += c * row[src]
+def _support(row: list[int], start: int = 0) -> list[tuple[int, int]]:
+    """(index, value) of the nonzero entries of row[start:]."""
+    return [(k, x) for k, x in enumerate(row[start:], start) if x]
+
+
+def _axpy(row: list[int], support: list[tuple[int, int]], c: int) -> None:
+    """row += c * src in place, where ``support`` is src's nonzero entries."""
+    for k, x in support:
+        row[k] += c * x
 
 
 def _negate_row(M: Matrix, i: int) -> None:
     M[i] = [-a for a in M[i]]
+
+
+def _smith(M: Matrix, left: bool, right: bool) -> tuple[Matrix | None, Matrix, Matrix | None]:
+    """Smith normal form core: (U, D, V) with U built only when ``left`` is
+    set and V only when ``right`` is set (None otherwise).
+
+    Row operations touch only U and column operations touch only V, so D
+    and the transforms that are built do not depend on which are skipped.
+    V is kept transposed while it is built, so a column operation on V is
+    a row operation on its transpose.  Pivots are chosen by minimal
+    absolute value, the first such entry in row-major order; the scan
+    stops at the first unit entry, which no later entry can beat.
+    """
+    m, n = dims(M)
+    A = copy_matrix(M)
+    U = identity(m) if left else None
+    VT = identity(n) if right else None
+    t = 0
+    while t < m and t < n:
+        pivot = None
+        best = 0
+        for i in range(t, m):
+            row = A[i]
+            for j in range(t, n):
+                x = row[j]
+                if x:
+                    a = x if x > 0 else -x
+                    if pivot is None or a < best:
+                        pivot, best = (i, j), a
+                        if a == 1:
+                            break
+            if best == 1:
+                break
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            _swap_rows(A, t, pi)
+            if U is not None:
+                _swap_rows(U, t, pi)
+        # rows above t are zero in every column >= t, so column operations
+        # on A start at row t
+        if pj != t:
+            _swap_cols(A, t, pj, t)
+            if VT is not None:
+                _swap_rows(VT, t, pj)
+        while True:
+            # clear column t below the pivot; support lists hold the nonzero
+            # entries of the pivot row (or column, or row of V^T), which
+            # change only when the pivot is swapped out
+            done = True
+            pivot_row = None
+            for i in range(t + 1, m):
+                if A[i][t] != 0:
+                    q = A[i][t] // A[t][t]
+                    if pivot_row is None:
+                        pivot_row = _support(A[t], t)
+                    _axpy(A[i], pivot_row, -q)
+                    if U is not None:
+                        _add_row(U, i, t, -q)
+                    if A[i][t] != 0:
+                        _swap_rows(A, t, i)
+                        if U is not None:
+                            _swap_rows(U, t, i)
+                        pivot_row = None
+                        done = False
+            if not done:
+                continue
+            # clear row t to the right of the pivot
+            pivot_col = None
+            v_row = None
+            for j in range(t + 1, n):
+                if A[t][j] != 0:
+                    q = A[t][j] // A[t][t]
+                    if pivot_col is None:
+                        pivot_col = [(i, A[i][t]) for i in range(t, m) if A[i][t]]
+                    for i, x in pivot_col:
+                        A[i][j] -= q * x
+                    if VT is not None:
+                        if v_row is None:
+                            v_row = _support(VT[t])
+                        _axpy(VT[j], v_row, -q)
+                    if A[t][j] != 0:
+                        _swap_cols(A, t, j, t)
+                        if VT is not None:
+                            _swap_rows(VT, t, j)
+                        pivot_col = v_row = None
+                        done = False
+            if not done:
+                continue
+            # force the pivot to divide every remaining entry (a unit does)
+            p = A[t][t]
+            if p == 1 or p == -1:
+                break
+            offender = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if A[i][j] % p != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            _add_row(A, t, offender, 1)
+            if U is not None:
+                _add_row(U, t, offender, 1)
+        if A[t][t] < 0:
+            _negate_row(A, t)
+            if U is not None:
+                _negate_row(U, t)
+        t += 1
+    return U, A, (transpose(VT) if VT is not None else None)
 
 
 def smith_normal_form(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -75,90 +195,33 @@ def smith_normal_form(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     The diagonal entries are non-negative and satisfy d1 | d2 | ... .
     Pivots are chosen by minimal absolute value to limit coefficient growth.
     """
-    m, n = dims(M)
-    A = copy_matrix(M)
-    U = identity(m)
-    V = identity(n)
-    t = 0
-    while t < m and t < n:
-        # locate a nonzero pivot of minimal absolute value in A[t:, t:]
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] != 0 and (pivot is None or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            _swap_rows(A, t, pi)
-            _swap_rows(U, t, pi)
-        if pj != t:
-            _swap_cols(A, t, pj)
-            _swap_cols(V, t, pj)
-        while True:
-            # clear column t below the pivot
-            done = True
-            for i in range(t + 1, m):
-                if A[i][t] != 0:
-                    q = A[i][t] // A[t][t]
-                    _add_row(A, i, t, -q)
-                    _add_row(U, i, t, -q)
-                    if A[i][t] != 0:
-                        _swap_rows(A, t, i)
-                        _swap_rows(U, t, i)
-                        done = False
-            if not done:
-                continue
-            # clear row t to the right of the pivot
-            for j in range(t + 1, n):
-                if A[t][j] != 0:
-                    q = A[t][j] // A[t][t]
-                    _add_col(A, j, t, -q)
-                    _add_col(V, j, t, -q)
-                    if A[t][j] != 0:
-                        _swap_cols(A, t, j)
-                        _swap_cols(V, t, j)
-                        done = False
-            if not done:
-                continue
-            # force the pivot to divide every remaining entry
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % A[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            _add_row(A, t, offender, 1)
-            _add_row(U, t, offender, 1)
-        if A[t][t] < 0:
-            _negate_row(A, t)
-            _negate_row(U, t)
-        t += 1
-    return U, A, V
+    return _smith(M, True, True)
+
+
+def _diagonal(D: Matrix) -> list[int]:
+    return [D[i][i] for i in range(min(dims(D))) if D[i][i] != 0]
 
 
 def elementary_divisors(M: Matrix) -> list[int]:
     """Nonzero diagonal entries of the Smith normal form of M."""
-    _, D, _ = smith_normal_form(M)
-    return [D[i][i] for i in range(min(dims(D))) if D[i][i] != 0]
+    return _diagonal(_smith(M, False, False)[1])
 
 
 def rank(M: Matrix) -> int:
-    return len(elementary_divisors(M))
+    return len(_diagonal(_smith(M, False, False)[1]))
+
+
+def kernel_and_divisors(M: Matrix) -> tuple[list[list[int]], list[int]]:
+    """Integer kernel basis (as rows) and elementary divisors of M, from one
+    Smith normal form that builds only V."""
+    _, D, V = _smith(M, False, True)
+    divisors = _diagonal(D)
+    return transpose(V)[len(divisors):], divisors
 
 
 def kernel_basis(M: Matrix) -> list[list[int]]:
     """Integer basis of {x : M x = 0}; rows of the result are the basis."""
-    m, n = dims(M)
-    _, D, V = smith_normal_form(M)
-    r = len([1 for i in range(min(m, n)) if D[i][i] != 0])
-    cols = transpose(V)
-    return [cols[j] for j in range(r, n)]
+    return kernel_and_divisors(M)[0]
 
 
 def left_kernel_basis(M: Matrix) -> list[list[int]]:
@@ -189,10 +252,12 @@ def hermite_row_basis(M: Matrix) -> list[list[int]]:
             if i0 != r:
                 _swap_rows(A, r, i0)
             nonzero_left = False
+            # rows >= r are zero in every column < c
+            pivot_row = _support(A[r], c)
             for i in range(r + 1, m):
                 if A[i][c] != 0:
                     q = A[i][c] // A[r][c]
-                    _add_row(A, i, r, -q)
+                    _axpy(A[i], pivot_row, -q)
                     if A[i][c] != 0:
                         nonzero_left = True
             if not nonzero_left:
@@ -200,10 +265,11 @@ def hermite_row_basis(M: Matrix) -> list[list[int]]:
         if r < m and A[r][c] != 0:
             if A[r][c] < 0:
                 _negate_row(A, r)
+            pivot_row = _support(A[r], c)
             for i in range(r):
                 q = A[i][c] // A[r][c]
                 if q:
-                    _add_row(A, i, r, -q)
+                    _axpy(A[i], pivot_row, -q)
             r += 1
             if r == m:
                 break
@@ -300,18 +366,3 @@ def primitive(v: list[int]) -> list[int]:
         return list(v)
     w = [x // g for x in v]
     return w
-
-
-def saturate(rows: list[list[int]], ambient_dim: int) -> list[list[int]]:
-    """Basis of the saturation of the row lattice inside Z^ambient_dim.
-
-    Computed as the integer kernel of the kernel: the saturation of L is
-    (L^perp)^perp, and kernels of integer matrices are always saturated.
-    """
-    if not rows:
-        return []
-    perp = kernel_basis(rows)
-    if not perp:
-        # full-rank lattice: saturation is all of Z^n
-        return identity(ambient_dim)
-    return kernel_basis(perp)

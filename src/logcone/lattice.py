@@ -11,6 +11,7 @@ normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from . import intlinalg as il
 from .graph import DecoratedDualGraph
@@ -96,15 +97,14 @@ class LatticeSummary:
 
 
 def lattice_summary(graph: DecoratedDualGraph) -> LatticeSummary:
-    """Kernel, image rank, cokernel torsion and obstruction dimension."""
+    """Kernel, image rank, cokernel torsion and obstruction dimension, all
+    read off one Smith normal form of rho."""
     dom, tgt, rho = build_rho(graph)
     # a zero-row matrix has no column count, so the full domain is the kernel
-    kernel = il.kernel_basis(rho) if rho else il.identity(len(dom))
+    kernel, divisors = il.kernel_and_divisors(rho) if rho else (il.identity(len(dom)), [])
     kernel = il.hermite_row_basis(kernel) if kernel else []
-    divisors = il.elementary_divisors(rho)
     image_rank = len(divisors)
     torsion = tuple(d for d in divisors if d > 1)
-    kernel_dim = len(dom) - image_rank
     obstruction_dim = len(tgt) - image_rank
     return LatticeSummary(
         domain=dom,
@@ -126,11 +126,11 @@ def component_count(graph: DecoratedDualGraph) -> int:
     """Number of irreducible components of the gluing-parameter space.
 
     Equals the index of the row lattice of rho inside its saturation,
-    which is the product of the elementary divisors; only those exceeding
-    1 contribute.
+    which is the product of the elementary divisors.
     """
-    summary = lattice_summary(graph)
-    out = 1
-    for d in summary.cokernel_torsion:
-        out *= d
-    return out
+    return prod(il.elementary_divisors(build_rho(graph)[2]))
+
+
+def _component_count(summary: LatticeSummary) -> int:
+    """:func:`component_count` read off an existing summary."""
+    return prod(summary.cokernel_torsion)

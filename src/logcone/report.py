@@ -10,10 +10,10 @@ from __future__ import annotations
 import hashlib
 
 from . import __version__
-from .cone import DEFAULT_TOL, gluing_equations, sigma_cone, toric_ideal_generators
-from .dims import expected_dim_stratum
+from .cone import DEFAULT_TOL, _sigma_cone, _toric_ideal_generators, gluing_equations
+from .dims import _expected_dim_stratum
 from .graph import DecoratedDualGraph, GeometryContext, ValidationReport, _axiom_check, arithmetic_genus
-from .lattice import component_count, lattice_summary
+from .lattice import _component_count, lattice_summary
 from .serialize import SCHEMA_TAG, certificate_to_dict, witness_to_dict
 from .tropical import decide
 
@@ -106,14 +106,15 @@ def build_report(
     }
     if violations:
         return out
+    # one lattice summary (one Smith form of rho) feeds every lattice block
     summary = lattice_summary(graph)
     out["genus"] = arithmetic_genus(graph)
     out["lattice"] = lattice_to_dict(summary)
-    out["component_count"] = component_count(graph)
+    out["component_count"] = _component_count(summary)
     out["tropical"] = tropical_to_dict(*decision)
-    out["cone"] = cone_to_dict(sigma_cone(graph))
+    out["cone"] = cone_to_dict(_sigma_cone(summary))
     out["gluing"] = binomials_to_dict(gluing_equations(graph))
-    out["toric_ideal"] = binomials_to_dict(toric_ideal_generators(graph))
+    out["toric_ideal"] = binomials_to_dict(_toric_ideal_generators(summary))
     if ctx is not None:
-        out["dims"] = dims_to_dict(expected_dim_stratum(graph, ctx))
+        out["dims"] = dims_to_dict(_expected_dim_stratum(graph, ctx, summary))
     return out

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from logcone import dd
 from logcone import intlinalg as il
 from logcone.cone import (
     ObstructionInput,
@@ -14,9 +15,10 @@ from logcone.cone import (
 )
 from logcone.corpus import corpus_load
 from logcone.lattice import build_rho, component_count, lattice_summary
+from logcone.serialize import graph_from_dict
 from logcone.tropical import tropical_feasibility
 
-from helpers import random_reorientation, random_witness_graph
+from helpers import random_free_graph, random_reorientation, random_witness_graph
 
 
 def test_sigma_toricex_single_ray():
@@ -246,3 +248,120 @@ def test_obstruction_rejects_bad_input():
     del missing[("e1", "1")]
     with pytest.raises(ValueError):
         obstruction_test(g, ObstructionInput(missing))
+
+
+def cramer_rays(A, idx):
+    """Extreme rays of {x : A[idx] x >= 0}, one exact solve per ray."""
+    M = [A[i] for i in idx]
+    d = abs(il.det(M))
+    rays = []
+    for j in range(len(idx)):
+        sol = il.solve_rational(M, [d if i == j else 0 for i in range(len(idx))])
+        assert all(x.denominator == 1 for x in sol)
+        rays.append(il.primitive([int(x) for x in sol]))
+    return rays
+
+
+def test_initial_rays_match_one_solve_per_ray():
+    rng = random.Random(49)
+    systems = []
+    # a size ladder of kernel halfspace systems, as sigma_cone builds them
+    for size in (4, 6, 10, 16):
+        for _ in range(6):
+            for g in (
+                random_witness_graph(rng, max_vertices=size, max_edges=size + 2),
+                random_free_graph(rng, max_vertices=size, max_edges=size + 2, n_divisors=2),
+            ):
+                kernel = lattice_summary(g).kernel_basis
+                if kernel:
+                    systems.append([list(col) for col in zip(*kernel)])
+    for _ in range(40):
+        k = rng.randint(1, 6)
+        A = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(k + rng.randint(0, 3))]
+        if il.rank(A) == k:
+            systems.append(A)
+    assert len(systems) > 60
+    for A in systems:
+        idx = dd._independent_rows(A, len(A[0]))
+        assert dd._initial_rays(A, idx) == cramer_rays(A, idx)
+
+
+# Graph g50 of the lattice-multidiv benchmark workload, and log-coordinates
+# xi of an eta = exp(rho xi) planted in its image torus.  Its raw character
+# basis (the left kernel of rho from the Smith form) has entries near 5e66,
+# so evaluating eta^m on it overflowed; its Hermite basis has entries of at
+# most 24.
+G50_VERTICES = [
+    ("v0", 1, "12345"), ("v1", 0, "14"), ("v2", 0, "1345"), ("v3", 2, "34"),
+    ("v4", 2, "13"), ("v5", 2, "234"), ("v6", 2, "235"), ("v7", 1, "23"),
+    ("v8", 0, "125"), ("v9", 1, "3"), ("v10", 2, "45"), ("v11", 1, "1"),
+]
+G50_EDGES = [
+    ("e0", "v1", "v0", "12345", {"2": 4, "3": 4, "4": 1, "5": 3}),
+    ("e1", "v2", "v0", "12345", {"2": 4, "3": 2, "4": 1}),
+    ("e2", "v3", "v1", "134", {"1": 1, "3": -4, "4": -3}),
+    ("e3", "v4", "v0", "12345", {"1": -3, "2": 4, "3": 1, "4": 2, "5": 3}),
+    ("e4", "v5", "v2", "12345", {"1": 1, "2": -3, "3": -1, "4": -1, "5": 3}),
+    ("e5", "v6", "v5", "2345", {"2": -1, "3": 1, "4": 2, "5": -2}),
+    ("e6", "v7", "v4", "123", {"1": 4, "2": -4, "3": -1}),
+    ("e7", "v8", "v7", "1235", {"1": -3, "2": 1, "3": 4, "5": -3}),
+    ("e8", "v9", "v6", "235", {"2": 4, "3": -1, "5": 2}),
+    ("e9", "v10", "v6", "2345", {"2": 4, "3": 2, "4": -4}),
+    ("e10", "v11", "v8", "125", {"1": 2, "2": 3, "5": 3}),
+]
+G50_XI = {
+    "e0": (-0.0094, -0.1442), "e1": (0.4411, -0.0682), "e10": (0.1797, 0.1607),
+    "e2": (-0.4143, 0.1186), "e3": (0.2981, 0.2131), "e4": (-0.4180, -0.3458),
+    "e5": (0.2117, 0.1339), "e6": (0.2397, -0.1833), "e7": (-0.3934, -0.4948),
+    "e8": (-0.1917, -0.1401), "e9": (-0.2302, -0.3675), "v0:1": (-0.3126, -0.0512),
+    "v0:2": (0.0547, -0.0920), "v0:3": (-0.4737, -0.1461), "v0:4": (-0.4069, 0.0980),
+    "v0:5": (-0.1756, -0.1148), "v1:1": (-0.2082, -0.1122), "v1:4": (-0.4153, 0.4011),
+    "v10:4": (0.4052, 0.4782), "v10:5": (0.0720, -0.3304), "v11:1": (-0.1193, -0.3612),
+    "v2:1": (-0.1989, -0.0069), "v2:3": (-0.4367, -0.0653), "v2:4": (-0.0789, -0.0158),
+    "v2:5": (-0.4231, -0.2483), "v3:3": (-0.2534, 0.1250), "v3:4": (0.0938, -0.3045),
+    "v4:1": (-0.3930, -0.1953), "v4:3": (0.4488, -0.1678), "v5:2": (0.1202, 0.3041),
+    "v5:3": (-0.1705, -0.1653), "v5:4": (0.3155, 0.3595), "v6:2": (0.4742, -0.3639),
+    "v6:3": (-0.1793, 0.4473), "v6:5": (-0.2991, -0.1858), "v7:2": (0.4646, 0.4687),
+    "v7:3": (-0.2086, 0.1950), "v8:1": (-0.0090, 0.0759), "v8:2": (-0.2576, -0.1239),
+    "v8:5": (0.3165, -0.1071), "v9:3": (-0.3861, 0.0639),
+}
+
+
+def g50_graph():
+    return graph_from_dict(
+        {
+            "schema": "logcone/1",
+            "divisors": list("12345"),
+            "vertices": [
+                {"id": v, "genus": genus, "degree": f"deg{v}", "depth": list(depth)}
+                for v, genus, depth in G50_VERTICES
+            ],
+            "edges": [
+                {"id": e, "from": a, "to": b, "depth": list(depth), "contact": contact}
+                for e, a, b, depth, contact in G50_EDGES
+            ],
+            "legs": [],
+        }
+    )
+
+
+def test_obstruction_accepts_planted_eta_despite_huge_raw_characters():
+    g = g50_graph()
+    dom, tgt, rho = build_rho(g)
+    raw = il.left_kernel_basis(rho)
+    assert max(abs(x) for m in raw for x in m) > 10**60
+    characters = il.hermite_row_basis(raw)
+    assert max(abs(x) for m in characters for x in m) <= 24
+    xi = [complex(*G50_XI[lab[1] if lab[0] == "edge" else f"{lab[1]}:{lab[2]}"]) for lab in dom.labels]
+    eta = {
+        (lab[1], lab[2]): cmath.exp(sum(c * x for c, x in zip(row, xi)))
+        for lab, row in zip(tgt.labels, rho)
+    }
+    verdict = obstruction_test(g, ObstructionInput(eta))
+    assert verdict.is_identity, verdict.violations
+    # off the image torus: violations are reported on the Hermite basis
+    key = next(k for k in eta if any(m[tgt.labels.index(("node", *k))] for m in characters))
+    eta[key] *= 1.01
+    verdict = obstruction_test(g, ObstructionInput(eta))
+    assert not verdict.is_identity
+    assert all(list(m) in characters for m, _ in verdict.violations)

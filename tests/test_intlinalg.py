@@ -27,6 +27,88 @@ def frac_rank(M):
     return rank
 
 
+def reference_snf(M):
+    """Smith normal form with full transforms and a full minimal-pivot scan,
+    written without any shortcut: the values every lean path must match."""
+    m, n = len(M), len(M[0]) if M else 0
+    A = [row[:] for row in M]
+    U, V = il.identity(m), il.identity(n)
+
+    def add_row(X, dst, src, c):
+        X[dst] = [a + c * b for a, b in zip(X[dst], X[src])]
+
+    def swap_cols(X, i, j):
+        for row in X:
+            row[i], row[j] = row[j], row[i]
+
+    def add_col(X, dst, src, c):
+        for row in X:
+            row[dst] += c * row[src]
+
+    for t in range(min(m, n)):
+        cells = [(abs(A[i][j]), i, j) for i in range(t, m) for j in range(t, n) if A[i][j]]
+        if not cells:
+            break
+        _, pi, pj = min(cells)
+        A[t], A[pi] = A[pi], A[t]
+        U[t], U[pi] = U[pi], U[t]
+        swap_cols(A, t, pj)
+        swap_cols(V, t, pj)
+        while True:
+            done = True
+            for i in range(t + 1, m):
+                if A[i][t]:
+                    q = A[i][t] // A[t][t]
+                    add_row(A, i, t, -q)
+                    add_row(U, i, t, -q)
+                    if A[i][t]:
+                        A[t], A[i] = A[i], A[t]
+                        U[t], U[i] = U[i], U[t]
+                        done = False
+            if not done:
+                continue
+            for j in range(t + 1, n):
+                if A[t][j]:
+                    q = A[t][j] // A[t][t]
+                    add_col(A, j, t, -q)
+                    add_col(V, j, t, -q)
+                    if A[t][j]:
+                        swap_cols(A, t, j)
+                        swap_cols(V, t, j)
+                        done = False
+            if not done:
+                continue
+            offender = next(
+                (i for i in range(t + 1, m) for j in range(t + 1, n) if A[i][j] % A[t][t]), None
+            )
+            if offender is None:
+                break
+            add_row(A, t, offender, 1)
+            add_row(U, t, offender, 1)
+        if A[t][t] < 0:
+            A[t] = [-a for a in A[t]]
+            U[t] = [-a for a in U[t]]
+    return U, A, V
+
+
+def snf_test_matrices():
+    """The round-trip matrices below, plus sparse +-1 matrices shaped like
+    lattice maps, plus sparse ones with non-unit entries."""
+    rng = random.Random(11)
+    out = []
+    for _ in range(60):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 7)
+        out.append([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
+    rng = random.Random(12)
+    for entries in ((0, 0, 0, 1, -1), (0, 0, 0, 1, -1, 2, -3, 4)):
+        for _ in range(80):
+            m = rng.randint(1, 9)
+            n = rng.randint(1, 9)
+            out.append([[rng.choice(entries) for _ in range(n)] for _ in range(m)])
+    return out
+
+
 def test_snf_identity():
     U, D, V = il.smith_normal_form(il.identity(4))
     assert D == il.identity(4)
@@ -51,6 +133,28 @@ def test_snf_round_trip_random():
         for a, b in zip(divisors, divisors[1:]):
             assert b % a == 0
         assert len(divisors) == frac_rank(M)
+
+
+def test_snf_matches_reference():
+    for M in snf_test_matrices():
+        assert il.smith_normal_form(M) == reference_snf(M), M
+
+
+def test_lean_smith_paths_match_full_form():
+    for M in snf_test_matrices():
+        U, D, V = il.smith_normal_form(M)
+        divisors = [D[i][i] for i in range(min(len(D), len(D[0]))) if D[i][i] != 0]
+        kernel = il.transpose(V)[len(divisors):]
+        assert il._smith(M, False, False) == (None, D, None)
+        assert il._smith(M, True, False) == (U, D, None)
+        assert il._smith(M, False, True) == (None, D, V)
+        assert il.elementary_divisors(M) == divisors
+        assert il.rank(M) == len(divisors)
+        assert il.kernel_and_divisors(M) == (kernel, divisors)
+        assert il.kernel_basis(M) == kernel
+        Ut, Dt, Vt = il.smith_normal_form(il.transpose(M))
+        rt = len([1 for i in range(min(len(Dt), len(Dt[0]))) if Dt[i][i] != 0])
+        assert il.left_kernel_basis(M) == il.transpose(Vt)[rt:]
 
 
 def test_kernel_basis_is_kernel():
@@ -106,13 +210,6 @@ def test_lattice_index():
     assert il.lattice_index([[1, 0], [0, 1]], [[1, 0], [0, 1]]) == 1
     with pytest.raises(ValueError):
         il.lattice_index([[1, 0]], [[1, 0], [0, 1]])
-
-
-def test_saturate():
-    sat = il.saturate([[2, 0], [0, 2]], 2)
-    assert il.hermite_row_basis(sat) == [[1, 0], [0, 1]]
-    sat = il.saturate([[2, 4]], 2)
-    assert il.hermite_row_basis(sat) == [[1, 2]]
 
 
 def test_primitive():

@@ -1,6 +1,9 @@
 import random
 
+import pytest
+
 from logcone import intlinalg as il
+from logcone import lattice, report
 from logcone.corpus import corpus_load
 from logcone.lattice import build_rho, component_count, lattice_summary
 
@@ -137,3 +140,41 @@ def test_component_count_equals_index_oracle():
             il.hermite_row_basis(image_dual), il.hermite_row_basis(kperp)
         )
         assert component_count(g) == index
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_summary_makes_one_smith_form(monkeypatch):
+    calls = counting(monkeypatch, il, "_smith")
+    summary = lattice_summary(corpus_load("d1rd22pt").graph)
+    # one Smith form of rho, building V (for the kernel) and not U
+    assert [args[1:] for args in calls] == [(False, True)]
+    assert calls[0][0] == summary.rho
+
+
+def test_component_count_builds_no_transforms(monkeypatch):
+    calls = counting(monkeypatch, il, "_smith")
+    assert component_count(corpus_load("toricex").graph) == 2
+    assert [args[1:] for args in calls] == [(False, False)]
+
+
+@pytest.mark.parametrize("name", ["d1rd22pt", "toricex"])
+def test_build_report_shares_one_summary(name, monkeypatch):
+    summaries = counting(monkeypatch, report, "lattice_summary")
+    rhos = counting(monkeypatch, lattice, "build_rho")
+    entry = corpus_load(name)
+    out = report.build_report(entry.graph, b"", entry.context)
+    assert len(summaries) == 1
+    assert len(rhos) == 1
+    assert out["component_count"] == component_count(entry.graph)
