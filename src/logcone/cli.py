@@ -283,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("input", help="graph JSON file")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        p.add_argument("--text", action="store_true", help="emit plain text (default)")
         p.set_defaults(fn=fn)
         return p
 

@@ -50,8 +50,17 @@ def _sigma_cone(summary: LatticeSummary) -> ConeDescription:
         return ConeDescription(ambient, 0, (), True, True)
     # halfspace j: (sum_i x_i * kernel[i][j]) >= 0
     halfspaces = [[kernel[i][j] for i in range(kdim)] for j in range(ambient)]
-    rays_k = extreme_rays(halfspaces)
-    rays = sorted(il.primitive(il.mat_vec(il.transpose(kernel), r)) for r in rays_k)
+    # a ray r in kernel coordinates is sum_i r_i * kernel[i] in the domain
+    support = [[(j, x) for j, x in enumerate(row) if x] for row in kernel]
+    rays = []
+    for r in extreme_rays(halfspaces):
+        v = [0] * ambient
+        for ri, row in zip(r, support):
+            if ri:
+                for j, x in row:
+                    v[j] += ri * x
+        rays.append(il.primitive(v))
+    rays.sort()
     # the constraint matrix has trivial nullspace (the kernel basis has full
     # rank), so the cone has no lineality and is strictly convex
     strictly_convex = True

@@ -11,25 +11,28 @@ deterministic.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 from . import intlinalg as il
 
 
 def _independent_rows(A: il.Matrix, k: int) -> list[int]:
-    """Indices of k linearly independent rows of A (A has column rank k)."""
+    """Indices of k linearly independent rows of A (A has column rank k).
+
+    Fraction-free elimination: each candidate row is reduced against the
+    rows kept so far (stored primitive, each with its pivot column) by
+    integer cross-multiplication; it is kept when something is left.
+    """
     chosen: list[int] = []
-    rows: list[list[Fraction]] = []
+    kept: list[tuple[int, list[int]]] = []
     for i, raw in enumerate(A):
-        cand = [Fraction(x) for x in raw]
-        work = cand[:]
-        for r in rows:
-            piv = next(j for j, x in enumerate(r) if x != 0)
-            if work[piv] != 0:
-                f = work[piv] / r[piv]
-                work = [a - f * b for a, b in zip(work, r)]
+        work = list(raw)
+        for piv, r in kept:
+            f = work[piv]
+            if f:
+                work = [r[piv] * a - f * b for a, b in zip(work, r)]
         if any(work):
-            rows.append(work)
+            kept.append((next(j for j, x in enumerate(work) if x), il.primitive(work)))
             chosen.append(i)
             if len(chosen) == k:
                 return chosen
@@ -62,57 +65,60 @@ def _initial_rays(A: il.Matrix, idx: list[int]) -> list[list[int]]:
     return [il.primitive([sign * T[i][k + j] for i in range(k)]) for j in range(k)]
 
 
+def _zero_mask(s: list[int]) -> int:
+    """Bit i set exactly where s[i] == 0."""
+    return sum(1 << i for i, v in enumerate(s) if v == 0)
+
+
 def extreme_rays(A: il.Matrix) -> list[list[int]]:
     """Extreme rays of {x in R^k : A x >= 0}, A with full column rank k.
 
     Returns primitive integer rays sorted lexicographically; the output is
     independent of the order in which constraints are processed.
+
+    Each ray carries its slack vector s = A x and the bitmask of rows where
+    s vanishes, so inserting row i reads every sign off s[i].  A positive
+    and a negative ray are combined only when they are adjacent, tested
+    combinatorially (Fukuda & Prodon 1996): their common zero set Z among
+    the processed rows has at least k - 2 rows, and no third ray's zero set
+    contains Z.
     """
     if not A or not A[0]:
         return []
     k = len(A[0])
     base = _independent_rows(A, k)
-    rays = _initial_rays(A, base)
-    processed = [A[i] for i in base]
-    pending = [A[i] for i in range(len(A)) if i not in set(base)]
+    sparse = [[(j, x) for j, x in enumerate(a) if x] for a in A]
+    xs = _initial_rays(A, base)
+    ss = [[sum(x[j] * c for j, c in row) for row in sparse] for x in xs]
+    zs = [_zero_mask(s) for s in ss]
+    done = sum(1 << i for i in base)
 
-    for a in pending:
-        vals = [sum(x * y for x, y in zip(a, r)) for r in rays]
-        pos = [r for r, v in zip(rays, vals) if v > 0]
-        zero = [r for r, v in zip(rays, vals) if v == 0]
-        neg = [(r, v) for r, v in zip(rays, vals) if v < 0]
-        if not neg:
-            processed.append(a)
+    for i in range(len(A)):
+        if done >> i & 1:
             continue
-        new_rays = pos + zero
-        for rp, vp in [(r, v) for r, v in zip(rays, vals) if v > 0]:
-            for rn, vn in neg:
-                if not _adjacent(processed, rp, rn, k):
-                    continue
-                combo = [vp * x - vn * y for x, y in zip(rn, rp)]
-                # vp * rn - vn * rp: positive combination, lands on a = 0
-                new_rays.append(il.primitive(combo))
-        processed.append(a)
-        # dedupe (primitive rays are unique representatives)
-        seen = set()
-        rays = []
-        for r in new_rays:
-            key = tuple(r)
-            if key not in seen:
-                seen.add(key)
-                rays.append(r)
-    return sorted(rays)
-
-
-def _adjacent(constraints: il.Matrix, r1: list[int], r2: list[int], k: int) -> bool:
-    """Algebraic adjacency: common active constraints have rank k - 2."""
-    if k <= 2:
-        return True
-    common = [
-        a
-        for a in constraints
-        if sum(x * y for x, y in zip(a, r1)) == 0 and sum(x * y for x, y in zip(a, r2)) == 0
-    ]
-    if len(common) < k - 2:
-        return False
-    return il.rank(common) == k - 2
+        neg = [n for n, s in enumerate(ss) if s[i] < 0]
+        if neg:
+            pos = [p for p, s in enumerate(ss) if s[i] > 0]
+            keep = [t for t, s in enumerate(ss) if s[i] >= 0]
+            new_xs = [xs[t] for t in keep]
+            new_ss = [ss[t] for t in keep]
+            new_zs = [zs[t] for t in keep]
+            for p in pos:
+                xp, sp, vp = xs[p], ss[p], ss[p][i]
+                for n in neg:
+                    common = zs[p] & zs[n] & done
+                    if common.bit_count() < k - 2 or any(
+                        z & common == common for t, z in enumerate(zs) if t != p and t != n
+                    ):
+                        continue
+                    xn, sn, vn = xs[n], ss[n], ss[n][i]
+                    # vp * xn - vn * xp: positive combination, lands on row i = 0
+                    x = [vp * a - vn * b for a, b in zip(xn, xp)]
+                    g = gcd(*x)
+                    s = [(vp * a - vn * b) // g for a, b in zip(sn, sp)]
+                    new_xs.append([a // g for a in x])
+                    new_ss.append(s)
+                    new_zs.append(_zero_mask(s))
+            xs, ss, zs = new_xs, new_ss, new_zs
+        done |= 1 << i
+    return sorted(xs)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DecoratedDualGraph, GeometryContext, arithmetic_genus
+from .graph import DecoratedDualGraph, GeometryContext, _check_divisors, arithmetic_genus
 from .lattice import LatticeSummary, lattice_summary
 
 
@@ -50,7 +50,8 @@ def expected_dim_stratum(
 
     ``k`` defaults to the number of legs.  The kernel dimension vanishes
     only for the one-vertex, edgeless, depth-empty graph, in which case
-    the stratum is the main stratum.
+    the stratum is the main stratum.  A context over other divisor labels
+    than the graph's raises StructuralError.
     """
     return _expected_dim_stratum(graph, ctx, lattice_summary(graph), k)
 
@@ -59,6 +60,7 @@ def _expected_dim_stratum(
     graph: DecoratedDualGraph, ctx: GeometryContext, summary: LatticeSummary, k: int | None = None
 ) -> DimensionReport:
     """:func:`expected_dim_stratum` with the graph's lattice summary given."""
+    _check_divisors(graph, ctx)
     if k is None:
         k = len(graph.legs)
     g = arithmetic_genus(graph)

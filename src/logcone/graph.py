@@ -176,6 +176,14 @@ class GeometryContext:
         return sum(self.inter(v.degree, label) for v in graph.vertices)
 
 
+def _check_divisors(graph: DecoratedDualGraph, ctx: GeometryContext) -> None:
+    """Raise StructuralError unless ctx is over the graph's divisor labels."""
+    if set(ctx.divisors) != set(graph.divisors):
+        raise StructuralError(
+            f"context divisors {list(ctx.divisors)} differ from graph divisors {list(graph.divisors)}"
+        )
+
+
 @dataclass(frozen=True)
 class Violation:
     code: str
@@ -198,6 +206,8 @@ def validate_graph(graph: DecoratedDualGraph, ctx: GeometryContext | None = None
 
     Returns a report listing all violations (empty iff valid).  Degree
     balance needs a GeometryContext; with ctx=None that check is skipped.
+    A context over other divisor labels than the graph's raises
+    StructuralError.
     Tropical feasibility is delegated to :mod:`logcone.tropical` and
     reported separately, since it is an existence statement rather than a
     local axiom.
@@ -247,6 +257,7 @@ def _axiom_check(graph: DecoratedDualGraph, ctx: GeometryContext | None):
         violations.append(Violation("connectivity", "graph is not connected"))
 
     if ctx is not None:
+        _check_divisors(graph, ctx)
         for v in graph.vertices:
             expected = [ctx.inter(v.degree, label) for label in graph.divisors]
             total = [0] * len(graph.divisors)

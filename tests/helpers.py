@@ -5,7 +5,8 @@ edge contacts from them, so the result is tropically feasible by
 construction; free mode draws contacts independently and can produce
 infeasible graphs.  Both respect the structural axioms (depth unions,
 support condition, connectivity), so every output passes validation
-without a geometry context.
+without a geometry context.  The layered generator is a witness-mode
+family whose parallel paths make the gluing cone often non-simplicial.
 """
 
 from __future__ import annotations
@@ -100,6 +101,46 @@ def random_free_graph(
             pass
         edge_data.append(EdgeData(f"e{k}", a, b, d, contact))
     return DecoratedDualGraph(divisors, vertices, tuple(edge_data), ())
+
+
+def random_layered_graph(
+    rng: random.Random, max_layers: int = 3, max_width: int = 3, max_divisors: int = 2
+) -> DecoratedDualGraph:
+    """Feasible layered graph whose gluing cone is often non-simplicial.
+
+    A depth-empty root sits below 2..max_layers layers of vertices with
+    random nonempty depth sets.  Every vertex is joined to the layer below,
+    and extra edges give parallel paths through vertices of different depth
+    sets, as in the corpus entry ``d1rd22pt``.  Planted positions grow
+    layer by layer and every contact is a position difference, so unit
+    lengths are a tropical witness.
+    """
+    n_div = rng.randint(1, max_divisors)
+    divisors = tuple(str(i + 1) for i in range(n_div))
+    layers = [["v0"]]
+    depth = {"v0": frozenset()}
+    pos = {"v0": (0,) * n_div}
+    for _ in range(rng.randint(2, max_layers)):
+        below = layers[-1]
+        layer = [f"v{len(depth) + i}" for i in range(rng.randint(1, max_width))]
+        for vid in layer:
+            d = frozenset(lab for lab in divisors if rng.random() < 0.7)
+            depth[vid] = d or frozenset([rng.choice(divisors)])
+            pos[vid] = tuple(
+                max(pos[b][i] for b in below) + rng.randint(1, 2) if lab in depth[vid] else 0
+                for i, lab in enumerate(divisors)
+            )
+        layers.append(layer)
+    pairs = []
+    for below, above in zip(layers, layers[1:]):
+        pairs.extend((rng.choice(below), vid) for vid in above)
+        pairs.extend((rng.choice(below), rng.choice(above)) for _ in range(rng.randint(1, len(above) + 1)))
+    vertices = tuple(VertexData(vid, 0, "deg", depth[vid]) for layer in layers for vid in layer)
+    edges = tuple(
+        EdgeData(f"e{k}", a, b, depth[a] | depth[b], tuple(y - x for x, y in zip(pos[a], pos[b])))
+        for k, (a, b) in enumerate(pairs)
+    )
+    return DecoratedDualGraph(divisors, vertices, edges, ())
 
 
 def matching_context(graph: DecoratedDualGraph, rng: random.Random) -> GeometryContext:

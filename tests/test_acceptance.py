@@ -8,6 +8,7 @@ must hold on large seeded random families.
 import cmath
 import dataclasses
 import random
+from importlib import resources
 
 import pytest
 
@@ -20,14 +21,16 @@ from logcone.cone import (
     sigma_cone,
     toric_ideal_generators,
 )
-from logcone.corpus import corpus_load
-from logcone.dims import expected_dim_main, expected_dim_stratum
+from logcone.corpus import corpus_list, corpus_load
+from logcone.dims import expected_dim_main, expected_dim_smooth_depth, expected_dim_stratum
 from logcone.graph import (
     arithmetic_genus,
     enumerate_edge_decorations,
     smooth_divisor_partial_order,
+    validate_graph,
 )
 from logcone.lattice import build_rho, component_count, lattice_summary
+from logcone.report import build_report
 from logcone.tropical import tropical_feasibility, verify_witness
 
 from helpers import (
@@ -38,6 +41,83 @@ from helpers import (
 )
 
 OBSTRUCTION_TOL = 1e-9
+
+
+def _feasibility_word(feasible):
+    return "feasible" if feasible else "infeasible"
+
+
+def _single_or_all(basis):
+    return list(basis[0]) if len(basis) == 1 else [list(r) for r in basis]
+
+
+def _smooth_depth_dims(e, rep):
+    tags = [v.degree for v in e.graph.vertices]
+    genus = arithmetic_genus(e.graph)
+    dims = {lab: expected_dim_smooth_depth(e.context, genus, len(e.graph.legs), tags, [lab]) for lab in e.graph.divisors}
+    return (dims, {lab: rep["dims"]["main_dim"] - 1 for lab in e.graph.divisors})
+
+
+# Flags annotate an entry for readers; each names a frozen key that shows it.
+CORPUS_FLAGS = {"genus-label-discrepancy": "genus"}
+
+# For each key of a corpus entry's frozen ``expected`` block: the values
+# the report and the library give for it; each must equal the frozen value.
+CORPUS_EXPECTED = {
+    "valid": lambda e, rep: (rep["validation"]["valid"], validate_graph(e.graph, e.context).valid),
+    "structurally_valid": lambda e, rep: (
+        not rep["validation"]["violations"],
+        not validate_graph(e.graph, e.context).violations,
+    ),
+    "tropical": lambda e, rep: (
+        _feasibility_word(rep["tropical"]["feasible"]),
+        _feasibility_word(tropical_feasibility(e.graph) is not None),
+    ),
+    "genus": lambda e, rep: (rep["genus"], arithmetic_genus(e.graph)),
+    "kernel_dim": lambda e, rep: (rep["lattice"]["kernel_dim"], len(lattice_summary(e.graph).kernel_basis)),
+    "kernel_generator": lambda e, rep: (
+        _single_or_all(rep["lattice"]["kernel_basis"]),
+        _single_or_all(lattice_summary(e.graph).kernel_basis),
+    ),
+    "cokernel_torsion": lambda e, rep: (
+        rep["lattice"]["cokernel_torsion"],
+        list(lattice_summary(e.graph).cokernel_torsion),
+    ),
+    "obstruction_dim": lambda e, rep: (rep["lattice"]["obstruction_dim"], lattice_summary(e.graph).obstruction_dim),
+    "component_count": lambda e, rep: (rep["component_count"], component_count(e.graph)),
+    "extreme_rays": lambda e, rep: (
+        rep["cone"]["extreme_rays"],
+        [list(r) for r in sigma_cone(e.graph).extreme_rays],
+    ),
+    "extreme_ray_count": lambda e, rep: (len(rep["cone"]["extreme_rays"]), len(sigma_cone(e.graph).extreme_rays)),
+    "gluing_equation_count": lambda e, rep: (
+        len(rep["gluing"]["equations"]),
+        len(gluing_equations(e.graph).exponents),
+    ),
+    "main_dim": lambda e, rep: (rep["dims"]["main_dim"], expected_dim_stratum(e.graph, e.context).main_dim),
+    "stratum_dim": lambda e, rep: (rep["dims"]["stratum_dim"], expected_dim_stratum(e.graph, e.context).stratum_dim),
+    "prelog_dim": lambda e, rep: (rep["dims"]["prelog_dim"], expected_dim_stratum(e.graph, e.context).prelog_dim),
+    "smooth_depth_dims": _smooth_depth_dims,
+    "partial_order_levels": lambda e, rep: (smooth_divisor_partial_order(e.graph).levels,),
+    "witness_file": lambda e, rep: (
+        e.expected["witness_file"] if verify_witness(e.graph, e.witness)[0] else "shipped witness fails",
+    ),
+    "flagged": lambda e, rep: (
+        e.expected["flagged"] if CORPUS_FLAGS.get(e.expected["flagged"]) in e.expected else "unknown flag",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", corpus_list())
+def test_corpus_expected_block(name):
+    entry = corpus_load(name)
+    raw = resources.files("logcone.data").joinpath(f"{name}.json").read_bytes()
+    rep = build_report(entry.graph, raw, entry.context)
+    assert entry.expected
+    for key, want in sorted(entry.expected.items()):
+        assert key in CORPUS_EXPECTED, f"unknown expected key {key!r}"
+        for got in CORPUS_EXPECTED[key](entry, rep):
+            assert got == want, key
 
 
 def test_criterion_1_two_component_regression():

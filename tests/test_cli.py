@@ -72,6 +72,25 @@ def test_validate_exit_codes(corpus_dir, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["dims", "validate", "report"])
+def test_context_with_other_divisors_is_structural_error(corpus_dir, tmp_path, capsys, command):
+    ctx = json.loads((corpus_dir / "2lines-case1.ctx.json").read_text())
+    ctx["divisors"] = ["1"]
+    path = tmp_path / "other.ctx.json"
+    path.write_text(json.dumps(ctx))
+    code, out, err = run(capsys, command, str(corpus_dir / "2lines-case1.json"), "--ctx", str(path), "--json")
+    assert code == 1
+    assert out == ""
+    assert err == "error: context divisors ['1'] differ from graph divisors ['1', '2']\n"
+
+
+def test_text_flag_is_gone(corpus_dir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["genus", str(corpus_dir / "toricex.json"), "--text"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --text" in capsys.readouterr().err
+
+
 def test_genus_command(tmp_path, capsys):
     doc = {
         "schema": "logcone/1",

@@ -1,8 +1,11 @@
+import dataclasses
 import random
+
+import pytest
 
 from logcone.corpus import corpus_load
 from logcone.dims import expected_dim_main, expected_dim_smooth_depth, expected_dim_stratum
-from logcone.graph import DecoratedDualGraph, GeometryContext, VertexData
+from logcone.graph import DecoratedDualGraph, GeometryContext, StructuralError, VertexData, validate_graph
 from logcone.lattice import kernel_dim
 
 from helpers import matching_context, random_witness_graph
@@ -80,3 +83,16 @@ def test_prelog_reproduces_ddecomp_count():
         report = expected_dim_stratum(entry.graph, entry.context)
         assert report.prelog_dim == 9 * d - 2
         assert report.prelog_dim - report.obstruction_dim == 8 * d - 1
+
+
+def test_context_over_other_divisors_is_rejected():
+    entry = corpus_load("2lines-case1")
+    for divisors in (("1",), ("1", "2", "3"), ("2", "3")):
+        ctx = dataclasses.replace(entry.context, divisors=divisors)
+        with pytest.raises(StructuralError, match="differ from graph divisors"):
+            expected_dim_stratum(entry.graph, ctx)
+        with pytest.raises(StructuralError, match="differ from graph divisors"):
+            validate_graph(entry.graph, ctx)
+    # the label order does not matter
+    ctx = dataclasses.replace(entry.context, divisors=("2", "1"))
+    assert expected_dim_stratum(entry.graph, ctx) == expected_dim_stratum(entry.graph, entry.context)
