@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 axiom violations or tropical infeasibility (the
-report is still printed), 1 structural or IO errors.  Output is plain text
+Exit codes: 0 success, 2 a negative verdict (axiom violations, tropical
+infeasibility, or eta off the image torus; the output is still printed),
+1 structural or IO errors.  Output is plain text
 by default, JSON with --json; setting LOGCONE_COLOR enables ANSI
 highlighting of verdicts in text mode.
 """
@@ -201,7 +202,7 @@ def _cmd_obstruct(args) -> int:
     for m, dist in verdict.violations:
         lines.append(f"  character {list(m)}: |eta^m - 1| = {dist:.3e}")
     _emit(data, args.json, lines)
-    return 0
+    return 0 if verdict.is_identity else 2
 
 
 def _report_one(path: Path, args) -> dict:

@@ -64,7 +64,11 @@ def _sigma_cone(summary: LatticeSummary) -> ConeDescription:
     # the constraint matrix has trivial nullspace (the kernel basis has full
     # rank), so the cone has no lineality and is strictly convex
     strictly_convex = True
-    top = il.rank([list(r) for r in rays]) == kdim if rays else kdim == 0
+    # a pointed cone is the hull of its rays, so the sum of the rays is a
+    # relative interior point; it is interior in the kernel exactly when no
+    # coordinate that is nonzero on the kernel vanishes on every ray
+    used = {j for row in support for j, _ in row}
+    top = all(any(r[j] for r in rays) for j in used)
     return ConeDescription(ambient, kdim, tuple(tuple(r) for r in rays), strictly_convex, top)
 
 

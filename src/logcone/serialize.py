@@ -13,8 +13,6 @@ import json
 from fractions import Fraction
 from importlib import resources
 
-import jsonschema
-
 from .cone import ObstructionInput
 from .graph import (
     DecoratedDualGraph,
@@ -42,17 +40,81 @@ _GRAPH_SCHEMA = _schema("graph.schema.json")
 _CONTEXT_SCHEMA = _schema("context.schema.json")
 
 
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    # JSON Schema counts 1.0 as an integer and true as not a number
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
+_ANNOTATIONS = ("$schema", "$id", "title")
+
+
+def _key(value):
+    """Hashable form of a JSON value under JSON equality: 1 == 1.0, 1 != true."""
+    if isinstance(value, list):
+        return ("array", tuple(map(_key, value)))
+    if isinstance(value, dict):
+        return ("object", frozenset((k, _key(v)) for k, v in value.items()))
+    return (isinstance(value, bool), value)
+
+
+def _walk(value, schema, path, errors):
+    """Append (path, message) for each violation of a Draft 2020-12 schema
+    built from the keywords below; descend only into subschemas."""
+    is_object = isinstance(value, dict)
+    for keyword, arg in schema.items():
+        if keyword == "type":
+            if arg not in _TYPES:
+                raise ValueError(f"unsupported schema type {arg!r}")
+            if not _TYPES[arg](value):
+                errors.append((path, f"{value!r} is not of type {arg!r}"))
+        elif keyword == "required":
+            if is_object:
+                errors.extend((path, f"{name!r} is a required property") for name in arg if name not in value)
+        elif keyword == "properties":
+            if is_object:
+                for name, sub in arg.items():
+                    if name in value:
+                        _walk(value[name], sub, path + (name,), errors)
+        elif keyword == "additionalProperties":
+            if is_object:
+                extra = [name for name in value if name not in schema.get("properties", ())]
+                if arg is False:
+                    if extra:
+                        names = ", ".join(map(repr, sorted(extra)))
+                        verb = "was" if len(extra) == 1 else "were"
+                        errors.append((path, f"Additional properties are not allowed ({names} {verb} unexpected)"))
+                else:
+                    for name in extra:
+                        _walk(value[name], arg, path + (name,), errors)
+        elif keyword == "items":
+            if isinstance(value, list):
+                for i, item in enumerate(value):
+                    _walk(item, arg, path + (i,), errors)
+        elif keyword == "uniqueItems":
+            if arg and isinstance(value, list) and len(set(map(_key, value))) < len(value):
+                errors.append((path, f"{value!r} has non-unique elements"))
+        elif keyword == "const":
+            if _key(value) != _key(arg):
+                errors.append((path, f"{arg!r} was expected"))
+        elif keyword == "minimum":
+            if isinstance(value, (int, float)) and not isinstance(value, bool) and value < arg:
+                errors.append((path, f"{value!r} is less than the minimum of {arg!r}"))
+        elif keyword not in _ANNOTATIONS:
+            raise ValueError(f"unsupported schema keyword {keyword!r}")
+
+
 def _check(instance, schema):
-    errors = sorted(
-        jsonschema.Draft202012Validator(schema).iter_errors(instance),
-        key=lambda e: list(e.absolute_path),
-    )
+    errors = []
+    try:
+        _walk(instance, schema, (), errors)
+    except RecursionError:  # from _key or repr on a value nested near the parser's limit
+        raise FormatError("input is nested too deeply") from None
     if errors:
-        lines = []
-        for e in errors:
-            pointer = "/" + "/".join(str(p) for p in e.absolute_path)
-            lines.append(f"{pointer}: {e.message}")
-        raise FormatError("; ".join(lines))
+        errors.sort(key=lambda e: e[0])
+        raise FormatError("; ".join("/" + "/".join(map(str, path)) + f": {msg}" for path, msg in errors))
 
 
 def _contact_tuple(mapping: dict, divisors) -> tuple[int, ...]:
@@ -70,7 +132,7 @@ def graph_from_dict(data: dict) -> DecoratedDualGraph:
     _check(data, _GRAPH_SCHEMA)
     divisors = tuple(data["divisors"])
     vertices = tuple(
-        VertexData(v["id"], v["genus"], v["degree"], frozenset(v["depth"]))
+        VertexData(v["id"], int(v["genus"]), v["degree"], frozenset(v["depth"]))
         for v in data["vertices"]
     )
     edges = []
@@ -87,7 +149,7 @@ def graph_from_dict(data: dict) -> DecoratedDualGraph:
             )
         )
     legs = tuple(
-        LegData(l["id"], l["at"], l["index"], _contact_tuple(l["contact"], divisors))
+        LegData(l["id"], l["at"], int(l["index"]), _contact_tuple(l["contact"], divisors))
         for l in data["legs"]
     )
     return DecoratedDualGraph(divisors, vertices, tuple(edges), legs)
@@ -134,7 +196,7 @@ def graph_to_dict(graph: DecoratedDualGraph) -> dict:
 def context_from_dict(data: dict) -> GeometryContext:
     _check(data, _CONTEXT_SCHEMA)
     return GeometryContext(
-        dim_x=data["dim"],
+        dim_x=int(data["dim"]),
         divisors=tuple(data["divisors"]),
         c1_pairing={k: int(v) for k, v in data["c1"].items()},
         divisor_pairing={
@@ -251,6 +313,8 @@ def load_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise FormatError(f"{path}: not valid JSON: nested too deeply") from None
 
 
 def load_graph(path) -> DecoratedDualGraph:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -106,6 +107,45 @@ def test_genus_command(tmp_path, capsys):
     assert out.strip() == "3"
 
 
+def test_integer_valued_floats_are_read_as_ints(corpus_dir, tmp_path, capsys):
+    # JSON Schema counts 3.0 as an integer; it must not leak into the output
+    doc = json.loads((corpus_dir / "2lines-case1.json").read_text())
+    ctx = json.loads((corpus_dir / "2lines-case1.ctx.json").read_text())
+    doc["vertices"][0]["genus"] = 3
+    (tmp_path / "int.json").write_text(json.dumps(doc))
+    (tmp_path / "int.ctx.json").write_text(json.dumps(ctx))
+    for v in doc["vertices"]:
+        v["genus"] = float(v["genus"])
+    for leg in doc["legs"]:
+        leg["index"] = float(leg["index"])
+    ctx["dim"] = float(ctx["dim"])
+    (tmp_path / "float.json").write_text(json.dumps(doc))
+    (tmp_path / "float.ctx.json").write_text(json.dumps(ctx))
+
+    def outputs(stem):
+        graph = tmp_path / f"{stem}.json"
+        runs = [
+            run(capsys, "genus", str(graph)),
+            run(capsys, "report", str(graph), "--json"),
+            run(capsys, "forget", str(graph), "--keep", "1"),
+            run(capsys, "dims", str(graph), "--ctx", str(tmp_path / f"{stem}.ctx.json")),
+        ]
+        sha = hashlib.sha256(graph.read_bytes()).hexdigest()
+        return [(code, out.replace(sha, "<sha>")) for code, out, _ in runs]
+
+    got = outputs("float")
+    assert got[0] == (0, "3\n")
+    assert got == outputs("int")
+
+
+def test_deeply_nested_json_is_format_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "genus", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: not valid JSON: nested too deeply\n"
+
+
 def test_lattice_and_tropical_json(corpus_dir, capsys):
     code, out, _ = run(capsys, "lattice", str(corpus_dir / "toricex.json"), "--json")
     assert code == 0
@@ -192,8 +232,12 @@ def test_obstruct_command(corpus_dir, tmp_path, capsys):
     eta["eta"]["e1"]["1"] = 1.01
     path.write_text(dump_json(eta))
     code, out, _ = run(capsys, "obstruct", str(corpus_dir / "toricex.json"), str(path), "--json")
-    assert code == 0
+    assert code == 2
     assert json.loads(out)["is_identity"] is False
+
+    code, out, _ = run(capsys, "obstruct", str(corpus_dir / "toricex.json"), str(path))
+    assert code == 2
+    assert out.splitlines()[0] == "not identity"
 
 
 @pytest.mark.parametrize(

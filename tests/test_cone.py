@@ -18,7 +18,7 @@ from logcone.lattice import build_rho, component_count, lattice_summary
 from logcone.serialize import graph_from_dict
 from logcone.tropical import tropical_feasibility
 
-from helpers import random_free_graph, random_reorientation, random_witness_graph
+from helpers import random_free_graph, random_layered_graph, random_reorientation, random_witness_graph
 
 
 def test_sigma_toricex_single_ray():
@@ -80,6 +80,21 @@ def test_convexity_on_feasible_graphs():
         cone = sigma_cone(g)
         assert cone.is_strictly_convex
         assert cone.is_top_dimensional_in_kernel
+
+
+def test_top_dimensional_flag_matches_ray_rank():
+    rng = random.Random(47)
+    graphs = [random_witness_graph(rng, legs=False) for _ in range(40)]
+    graphs += [random_free_graph(rng, n_divisors=rng.randint(1, 2)) for _ in range(80)]
+    graphs += [random_layered_graph(rng) for _ in range(40)]
+    seen = set()
+    for g in graphs:
+        cone = sigma_cone(g)
+        rays = [list(r) for r in cone.extreme_rays]
+        want = il.rank(rays) == cone.kernel_dim if rays else cone.kernel_dim == 0
+        assert cone.is_top_dimensional_in_kernel == want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_ray_canonical_order_invariant_under_reorientation():
