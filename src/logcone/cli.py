@@ -214,7 +214,7 @@ def _report_one(path: Path, args) -> dict:
         ctx = load_context(args.ctx)
     elif candidate.exists():
         ctx = load_context(candidate)
-    return build_report(graph, raw, ctx, args.tol)
+    return build_report(graph, raw, ctx)
 
 
 def _cmd_report(args) -> int:
@@ -309,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("report", _cmd_report, "full analysis report for a file or directory")
     p.add_argument("--ctx", help="geometry context JSON file")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = add("corpus", _cmd_corpus, "list or show embedded examples", needs_input=False)
     p.add_argument("name", nargs="?", help="entry name; omit to list all")

@@ -239,8 +239,8 @@ def obstruction_test(
     Hermite basis, whose small entries keep the float evaluation accurate.
     Only the final evaluation |eta^m - 1| is numerical.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, not {tol!r}")
     _, tgt, rho = build_rho(graph)
     values = []
     for lab in tgt.labels:

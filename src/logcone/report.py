@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 
 from . import __version__
-from .cone import DEFAULT_TOL, _sigma_cone, _toric_ideal_generators, gluing_equations
+from .cone import _sigma_cone, _toric_ideal_generators, gluing_equations
 from .dims import _expected_dim_stratum
 from .graph import DecoratedDualGraph, GeometryContext, ValidationReport, _axiom_check, arithmetic_genus
 from .lattice import _component_count, lattice_summary
@@ -89,7 +89,6 @@ def build_report(
     graph: DecoratedDualGraph,
     raw_bytes: bytes,
     ctx: GeometryContext | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> dict:
     # the axiom checks and tropical decision of validate_graph, with the one
     # tropical solve shared by the validation and tropical blocks

@@ -106,6 +106,15 @@ def _walk(value, schema, path, errors):
             raise ValueError(f"unsupported schema keyword {keyword!r}")
 
 
+def _pointer(path) -> str:
+    """JSON pointer to ``path`` (keys and indices), escaped per RFC 6901.
+
+    ``~`` becomes ``~0`` and ``/`` becomes ``~1``, so a key ``a/b`` stays one
+    reference token; the empty path is written ``/``.
+    """
+    return "/" + "/".join(str(key).replace("~", "~0").replace("/", "~1") for key in path)
+
+
 def _check(instance, schema):
     errors = []
     try:
@@ -114,7 +123,7 @@ def _check(instance, schema):
         raise FormatError("input is nested too deeply") from None
     if errors:
         errors.sort(key=lambda e: e[0])
-        raise FormatError("; ".join("/" + "/".join(map(str, path)) + f": {msg}" for path, msg in errors))
+        raise FormatError("; ".join(f"{_pointer(path)}: {msg}" for path, msg in errors))
 
 
 def _contact_tuple(mapping: dict, divisors) -> tuple[int, ...]:
@@ -296,11 +305,11 @@ def eta_from_dict(data: dict, graph: DecoratedDualGraph) -> ObstructionInput:
     eta = {}
     for eid, row in data["eta"].items():
         if eid not in depth:
-            raise FormatError(f"/eta/{eid}: the graph has no edge {eid!r}")
+            raise FormatError(f"{_pointer(('eta', eid))}: the graph has no edge {eid!r}")
         if not isinstance(row, dict):
-            raise FormatError(f"/eta/{eid}: eta entry for edge {eid!r} must be a label->value object")
+            raise FormatError(f"{_pointer(('eta', eid))}: eta entry for edge {eid!r} must be a label->value object")
         for label, value in row.items():
-            pointer = f"/eta/{eid}/{label}"
+            pointer = _pointer(("eta", eid, label))
             if label not in depth[eid]:
                 raise FormatError(f"{pointer}: label {label!r} is not in the depth of edge {eid!r}")
             eta[(eid, label)] = _complex_from_json(value, pointer)

@@ -1,16 +1,22 @@
-"""Exact rational simplex: strict feasibility of homogeneous systems.
+"""Exact simplex: strict feasibility of homogeneous systems.
 
-All arithmetic is in :class:`fractions.Fraction`; Bland's smallest-index
-rule guarantees termination.  Infeasibility and optimality are therefore
-proofs, not tolerance calls, which is what the tropical-feasibility
-decision needs.  Problems here are tiny (tens of variables), so a dense
-tableau is plenty.
+Bland's smallest-index rule guarantees termination, and no step rounds, so
+infeasibility and optimality are proofs, not tolerance calls, which is what
+the tropical-feasibility decision needs.  Problems here are tiny (tens of
+variables), so a dense tableau is plenty.
 
 :func:`positive_kernel_point` is the solver the package uses: one phase-1
 tableau decides whether A x = 0 has a strictly positive solution and
-returns either such an x or a Stiemke multiplier vector.  :func:`solve_lp`
-is the general two-phase LP over free variables; nothing in the package
-calls it, and it stays because ``perfbench/spans.py`` wraps it by name.
+returns either such an x or a Stiemke multiplier vector.  Its pivots are
+integer-preserving (fraction-free): the tableau stays integral over one
+common denominator, and :class:`fractions.Fraction` appears only when the
+result is read out.
+
+:func:`solve_lp`, :class:`LPResult` and the :class:`~fractions.Fraction`
+tableau loop :func:`_simplex` are a general two-phase LP over free
+variables.  Nothing in the package calls them; they stay, unchanged, only
+because ``perfbench/spans.py`` looks up ``simplex.solve_lp`` by name when a
+traced benchmark run starts, and they go together with that lookup.
 """
 
 from __future__ import annotations
@@ -155,11 +161,11 @@ def solve_lp(c, a_eq, b_eq, a_ub, b_ub, maximize=False) -> LPResult:
 def positive_kernel_point(a, n):
     """Decide whether A x = 0 has a solution with every x_j > 0.
 
-    ``a`` is the list of rows of A, each of length ``n``.  Returns
-    ``(x, None)`` with A x = 0 and every x_j >= 1, or ``(None, u)`` with one
-    rational per row such that u^T A >= 0 and u^T A != 0 (Stiemke's
-    alternative), which rules out every positive x because u^T A x would
-    be both 0 and positive.
+    ``a`` is the list of rows of A, each of length ``n``, with integer
+    entries.  Returns ``(x, None)`` with A x = 0 and every x_j >= 1, or
+    ``(None, u)`` with one rational per row such that u^T A >= 0 and
+    u^T A != 0 (Stiemke's alternative), which rules out every positive x
+    because u^T A x would be both 0 and positive.
 
     The system is homogeneous, so a positive solution can be scaled to
     x >= 1; substituting x = 1 + y leaves the phase-1 problem
@@ -167,6 +173,14 @@ def positive_kernel_point(a, n):
     phase-1 optimum with value > 0 the reduced cost of artificial i is
     r_i = 1 - w_i for the row duals w, so u = (r_i - 1) * sign_i satisfies
     u^T A >= 0 and u^T A 1 = value > 0.
+
+    The tableau is held as integers T over one common denominator d, the
+    determinant of the current basis, so T / d is the rational tableau.
+    Pivoting on (r, c) with p = T[r][c] leaves row r as it is and replaces
+    every other row by (p * T[i] - T[i][c] * T[r]) / d, which is exact by
+    Sylvester's identity (Bareiss 1968; Edmonds 1967); then d becomes p.
+    Bland's rule reads only signs and ratios, so the pivots are the ones a
+    rational tableau would take.
     """
     m = len(a)
     width = n + m
@@ -175,21 +189,59 @@ def positive_kernel_point(a, n):
     for i, row in enumerate(a):
         rhs = -sum(row)
         sign = -1 if rhs < 0 else 1
-        line = [Fraction(sign * v) for v in row] + [Fraction(0)] * (m + 1)
-        line[n + i] = Fraction(1)
-        line[-1] = Fraction(sign * rhs)
+        line = [sign * v for v in row] + [0] * (m + 1)
+        line[n + i] = 1
+        line[-1] = sign * rhs
         T.append(line)
         signs.append(sign)
     # reduced costs of the phase-1 objective with the artificials basic
     obj = [-sum(T[i][j] for i in range(m)) for j in range(n)]
-    obj += [Fraction(0)] * m + [-sum(T[i][-1] for i in range(m))]
+    obj += [0] * m + [-sum(T[i][-1] for i in range(m))]
     T.append(obj)
     basis = [n + i for i in range(m)]
-    _simplex(T, basis, width)
+    d = 1
+    while True:
+        obj = T[-1]
+        enter = next((j for j in range(width) if obj[j] < 0), None)
+        if enter is None:
+            break
+        # ratio test over a_i > 0; ties go to the smaller basis index
+        leave = None
+        for i in range(m):
+            a_i = T[i][enter]
+            if a_i > 0:
+                if leave is not None:
+                    # the sign of b_i / a_i - b_l / a_l, cross-multiplied
+                    diff = T[i][-1] * a_l - b_l * a_i
+                    if diff > 0 or (diff == 0 and basis[i] > basis[leave]):
+                        continue
+                leave, b_l, a_l = i, T[i][-1], a_i
+        # the objective is bounded below by 0, so some a_i > 0
+        prow = T[leave]
+        p = prow[enter]
+        nonzero = [(j, v) for j, v in enumerate(prow) if v]
+        for i, row in enumerate(T):
+            if i == leave:
+                continue
+            f = row[enter]
+            if not f:
+                if p != d:
+                    T[i] = [v * p // d for v in row]
+            elif p == d:
+                # d divides f * T[r][j] here, and only those entries move
+                for j, v in nonzero:
+                    row[j] -= f * v // d
+            else:
+                new = [v * p for v in row]
+                for j, v in nonzero:
+                    new[j] -= f * v
+                T[i] = [v // d for v in new]
+        basis[leave] = enter
+        d = p
     if T[-1][-1] == 0:
         x = [Fraction(1)] * n
         for i, col in enumerate(basis):
             if col < n:
-                x[col] += T[i][-1]
+                x[col] += Fraction(T[i][-1], d)
         return x, None
-    return None, [(T[-1][n + i] - 1) * signs[i] for i in range(m)]
+    return None, [(Fraction(T[-1][n + i], d) - 1) * signs[i] for i in range(m)]

@@ -6,7 +6,8 @@ with s_head - s_tail = lambda_e * s_e for every edge.  Those equalities form
 a homogeneous integer system A x = 0 over x = (s on the depth coordinates,
 lambda on the edges with nonzero contact; a zero-contact edge keeps
 lambda = 1), and feasibility is strict feasibility x > 0.  :func:`decide`
-settles it with one exact phase-1 solve and returns either a witness or,
+settles it with one exact phase-1 solve, pivoted in integers without
+rounding (``simplex.positive_kernel_point``), and returns either a witness or,
 by Stiemke's theorem, integer multipliers y on the (edge, label) equalities
 with y^T A >= 0 and y^T A != 0.  Both can be checked independently with
 :func:`verify_witness` and :func:`verify_certificate`.

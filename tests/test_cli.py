@@ -240,6 +240,25 @@ def test_obstruct_command(corpus_dir, tmp_path, capsys):
     assert out.splitlines()[0] == "not identity"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+def test_obstruct_rejects_bad_tolerance(corpus_dir, tmp_path, capsys, tol):
+    # e1/1 = 1.01 is not the identity at any usable tolerance
+    eta = {"schema": "logcone/1", "eta": {"e1": {"1": 1.01, "2": 1}, "e2": {"1": 1, "2": 1}}}
+    path = tmp_path / "eta.json"
+    path.write_text(dump_json(eta))
+    code, out, err = run(capsys, "obstruct", str(corpus_dir / "toricex.json"), str(path), f"--tol={tol}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: tolerance must be positive and finite, not ")
+
+
+def test_report_has_no_tolerance(corpus_dir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", str(corpus_dir / "toricex.json"), "--tol", "1e-9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "edge, row, pointer",
     [

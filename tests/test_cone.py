@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 
 import pytest
@@ -250,11 +251,18 @@ def test_obstruction_invariant_under_image_torus_action():
     assert before == after
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf, -math.inf])
+def test_obstruction_rejects_tolerance_outside_zero_to_inf(tol):
+    g = corpus_load("toricex").graph
+    eta = {(e.id, lab): 1.0 for e in g.edges for lab in e.depth}
+    eta[("e1", "1")] = 1.01
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        obstruction_test(g, ObstructionInput(eta), tol=tol)
+
+
 def test_obstruction_rejects_bad_input():
     g = corpus_load("toricex").graph
     eta = {(e.id, lab): 1.0 for e in g.edges for lab in e.depth}
-    with pytest.raises(ValueError):
-        obstruction_test(g, ObstructionInput(dict(eta)), tol=0.0)
     zeroed = dict(eta)
     zeroed[("e1", "1")] = 0.0
     with pytest.raises(ValueError):

@@ -54,7 +54,9 @@ def assert_agree(instance, schema):
             serialize._check(instance, schema)
         # one "<pointer>: <message>" item per error, sorted by path
         items = sorted(errors, key=lambda e: e[0])
-        assert str(err.value) == "; ".join("/" + "/".join(map(str, p)) + f": {m}" for p, m in items)
+        # RFC 6901: "~" is written "~0" and "/" is written "~1" inside a token
+        pointers = ["/" + "/".join(str(k).replace("~", "~0").replace("/", "~1") for k in p) for p, _ in items]
+        assert str(err.value) == "; ".join(f"{q}: {m}" for q, (_, m) in zip(pointers, items))
     else:
         serialize._check(instance, schema)
     return want
@@ -163,6 +165,36 @@ def test_json_value_semantics(schema, value, ok):
 def test_unsupported_schema_keyword_raises(schema):
     with pytest.raises(ValueError, match="unsupported schema"):
         serialize._check([], schema)
+
+
+def slash_tilde_graph(contact):
+    return {
+        "schema": "logcone/1",
+        "divisors": ["a/b"],
+        "vertices": [
+            {"id": "v1", "genus": 0, "degree": "d", "depth": ["a/b"]},
+            {"id": "v2", "genus": 0, "degree": "d", "depth": ["a/b"]},
+        ],
+        "edges": [{"id": "e~1", "from": "v1", "to": "v2", "depth": ["a/b"], "contact": {"a/b": contact}}],
+        "legs": [],
+    }
+
+
+def test_pointers_escape_slash_and_tilde():
+    with pytest.raises(FormatError) as err:
+        serialize.graph_from_dict(slash_tilde_graph(1.5))
+    assert str(err.value) == "/edges/0/contact/a~1b: 1.5 is not of type 'integer'"
+
+    graph = serialize.graph_from_dict(slash_tilde_graph(1))
+    for eta, message in [
+        ({"e~1": {"a/b": "x"}}, "/eta/e~01/a~1b: bad rational 'x'"),
+        ({"e~1": {"c/~": 1}}, "/eta/e~01/c~1~0: label 'c/~' is not in the depth"),
+        ({"e~1": [1]}, "/eta/e~01: eta entry for edge 'e~1' must be"),
+        ({"f/g": {}}, "/eta/f~1g: the graph has no edge 'f/g'"),
+    ]:
+        with pytest.raises(FormatError) as err:
+            serialize.eta_from_dict({"schema": "logcone/1", "eta": eta}, graph)
+        assert str(err.value).startswith(message)
 
 
 def test_cli_import_does_not_load_jsonschema():
