@@ -37,7 +37,7 @@ from .graph import (
     smooth_divisor_partial_order,
     validate_graph,
 )
-from .lattice import IndexedBasis, LatticeSummary, build_rho, component_count, kernel_dim, lattice_summary
+from .lattice import IndexedBasis, LatticeSummary, build_rho, component_count, lattice_summary
 from .serialize import FormatError, load_context, load_eta, load_graph, load_witness
 from .tropical import (
     InfeasibilityCertificate,
@@ -83,7 +83,6 @@ __all__ = [
     "expected_dim_stratum",
     "gluing_equations",
     "integralize_witness",
-    "kernel_dim",
     "lattice_summary",
     "load_context",
     "load_eta",

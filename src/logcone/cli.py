@@ -19,7 +19,7 @@ from .cone import DEFAULT_TOL, gluing_equations, obstruction_test, sigma_cone, t
 from .corpus import corpus_list, corpus_load
 from .dims import expected_dim_stratum
 from .graph import StructuralError, arithmetic_genus, restrict_graph, validate_graph
-from .lattice import _component_count, lattice_summary
+from .lattice import component_count, lattice_summary
 from .report import (
     binomials_to_dict,
     build_report,
@@ -104,13 +104,13 @@ def _cmd_lattice(args) -> int:
     graph = load_graph(args.input)
     summary = lattice_summary(graph)
     data = lattice_to_dict(summary)
-    data["component_count"] = _component_count(summary)
+    data["component_count"] = component_count(graph)
     rows = [
         ("domain dim", str(len(summary.domain))),
         ("target dim", str(len(summary.target))),
         ("kernel dim", str(len(summary.kernel_basis))),
         ("image rank", str(summary.image_rank)),
-        ("cokernel free rank", str(summary.cokernel_free_rank)),
+        ("cokernel free rank", str(summary.obstruction_dim)),
         ("cokernel torsion", str(list(summary.cokernel_torsion))),
         ("obstruction dim", str(summary.obstruction_dim)),
         ("component count", str(data["component_count"])),

@@ -5,7 +5,9 @@ with the non-negative orthant of the domain.  The gluing-parameter space is
 cut out by one binomial equation per (edge, label) pair; the associated
 irreducible toric variety is cut out by the binomials of the saturated
 lattice.  The obstruction test decides membership of a tuple of leading
-coefficient ratios in the subtorus exponentiating the image lattice.
+coefficient ratios in the subtorus exponentiating the image lattice.  The
+cone, the toric ideal and the obstruction test read rho, its kernel and
+the target basis from the graph's one lattice summary.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from . import intlinalg as il
 from .dd import extreme_rays
 from .graph import DecoratedDualGraph
-from .lattice import IndexedBasis, LatticeSummary, build_rho, domain_basis, lattice_summary
+from .lattice import IndexedBasis, domain_basis, lattice_summary
 
 DEFAULT_TOL = 1e-9
 
@@ -27,7 +29,6 @@ class ConeDescription:
     ambient_dim: int  # dimension of the domain lattice
     kernel_dim: int
     extreme_rays: tuple[tuple[int, ...], ...]  # primitive vectors in domain coordinates
-    is_strictly_convex: bool
     is_top_dimensional_in_kernel: bool
 
 
@@ -36,18 +37,16 @@ def sigma_cone(graph: DecoratedDualGraph) -> ConeDescription:
 
     The double description runs inside kernel coordinates: the kernel is
     parametrized by its lattice basis and each ambient coordinate pulls
-    back to a halfspace.  Rays are primitive, lex-sorted.
+    back to a halfspace.  Rays are primitive, lex-sorted.  The constraint
+    matrix has trivial nullspace (the kernel basis has full rank), so the
+    cone has no lineality and is always strictly convex.
     """
-    return _sigma_cone(lattice_summary(graph))
-
-
-def _sigma_cone(summary: LatticeSummary) -> ConeDescription:
-    """:func:`sigma_cone` from an existing lattice summary."""
+    summary = lattice_summary(graph)
     kernel = [list(row) for row in summary.kernel_basis]
     ambient = len(summary.domain)
     kdim = len(kernel)
     if kdim == 0:
-        return ConeDescription(ambient, 0, (), True, True)
+        return ConeDescription(ambient, 0, (), True)
     # halfspace j: (sum_i x_i * kernel[i][j]) >= 0
     halfspaces = [[kernel[i][j] for i in range(kdim)] for j in range(ambient)]
     # a ray r in kernel coordinates is sum_i r_i * kernel[i] in the domain
@@ -61,15 +60,12 @@ def _sigma_cone(summary: LatticeSummary) -> ConeDescription:
                     v[j] += ri * x
         rays.append(il.primitive(v))
     rays.sort()
-    # the constraint matrix has trivial nullspace (the kernel basis has full
-    # rank), so the cone has no lineality and is strictly convex
-    strictly_convex = True
     # a pointed cone is the hull of its rays, so the sum of the rays is a
     # relative interior point; it is interior in the kernel exactly when no
     # coordinate that is nonzero on the kernel vanishes on every ray
     used = {j for row in support for j, _ in row}
     top = all(any(r[j] for r in rays) for j in used)
-    return ConeDescription(ambient, kdim, tuple(tuple(r) for r in rays), strictly_convex, top)
+    return ConeDescription(ambient, kdim, tuple(tuple(r) for r in rays), top)
 
 
 @dataclass(frozen=True)
@@ -159,11 +155,7 @@ def toric_ideal_generators(graph: DecoratedDualGraph) -> BinomialSystem:
     :func:`eliminate_unit_entries` and the parametrization check in the
     test-suite for the verification contract).
     """
-    return _toric_ideal_generators(lattice_summary(graph))
-
-
-def _toric_ideal_generators(summary: LatticeSummary) -> BinomialSystem:
-    """:func:`toric_ideal_generators` from an existing lattice summary."""
+    summary = lattice_summary(graph)
     dom = summary.domain
     kernel = [list(r) for r in summary.kernel_basis]
     if not kernel:
@@ -241,9 +233,9 @@ def obstruction_test(
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, not {tol!r}")
-    _, tgt, rho = build_rho(graph)
+    summary = lattice_summary(graph)
     values = []
-    for lab in tgt.labels:
+    for lab in summary.target.labels:
         key = (lab[1], lab[2])
         if key not in eta.eta:
             raise ValueError(f"missing eta entry for edge {lab[1]!r}, label {lab[2]!r}")
@@ -251,7 +243,7 @@ def obstruction_test(
         if z == 0:
             raise ValueError(f"eta entry for edge {lab[1]!r}, label {lab[2]!r} is zero")
         values.append(z)
-    characters = il.hermite_row_basis(il.left_kernel_basis(rho))
+    characters = il.hermite_row_basis(il.left_kernel_basis(summary.rho))
     log_safe = all(1e-6 <= abs(z) <= 1e6 for z in values)
     violations = []
     for m in characters:

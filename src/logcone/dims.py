@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import DecoratedDualGraph, GeometryContext, _check_divisors, arithmetic_genus
-from .lattice import LatticeSummary, lattice_summary
+from .lattice import lattice_summary
 
 
 def expected_dim_main(ctx: GeometryContext, g: int, k: int, degree_tags) -> int:
@@ -53,14 +53,8 @@ def expected_dim_stratum(
     the stratum is the main stratum.  A context over other divisor labels
     than the graph's raises StructuralError.
     """
-    return _expected_dim_stratum(graph, ctx, lattice_summary(graph), k)
-
-
-def _expected_dim_stratum(
-    graph: DecoratedDualGraph, ctx: GeometryContext, summary: LatticeSummary, k: int | None = None
-) -> DimensionReport:
-    """:func:`expected_dim_stratum` with the graph's lattice summary given."""
     _check_divisors(graph, ctx)
+    summary = lattice_summary(graph)
     if k is None:
         k = len(graph.legs)
     g = arithmetic_genus(graph)

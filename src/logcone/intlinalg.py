@@ -23,7 +23,8 @@ def zeros(rows: int, cols: int) -> Matrix:
 
 
 def copy_matrix(M: Matrix) -> Matrix:
-    return [row[:] for row in M]
+    # list(), not row[:], so that tuple rows come out writable
+    return [list(row) for row in M]
 
 
 def transpose(M: Matrix) -> Matrix:

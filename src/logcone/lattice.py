@@ -5,7 +5,8 @@ The map sends the lattice spanned by one generator per edge and one per
 (edge, label-in-edge-depth) pair.  Its kernel describes the gluing
 deformations of the corresponding stratum, its cokernel the Lie algebra of
 the obstruction torus; all invariants are computed exactly via the Smith
-normal form.
+normal form.  Each graph object keeps its one :class:`LatticeSummary`, and
+every lattice, cone and dimension function reads its invariants from it.
 """
 
 from __future__ import annotations
@@ -58,29 +59,23 @@ def build_rho(graph: DecoratedDualGraph) -> tuple[IndexedBasis, IndexedBasis, il
     The column of an edge generator is its contact vector, placed in that
     edge's block of the target.  The column of a (vertex, label) generator
     has +1 at (e, label) when the vertex is the tail of e, -1 when it is
-    the head, and 0 for loops and non-incident edges.
+    the head, and 0 for loops and non-incident edges.  Each (e, label) row
+    is filled once, from its edge alone.
     """
     dom = domain_basis(graph)
     tgt = target_basis(graph)
     M = il.zeros(len(tgt), len(dom))
-    row_of = {lab: i for i, lab in enumerate(tgt.labels)}
-    for j, lab in enumerate(dom.labels):
-        if lab[0] == "edge":
-            e = next(e for e in graph.edges if e.id == lab[1])
-            for div, value in zip(graph.divisors, e.contact):
-                if div in e.depth:
-                    M[row_of[("node", e.id, div)]][j] = value
-        else:
-            _, vid, div = lab
-            for e in graph.edges:
-                if e.v1 == e.v2:
-                    continue
-                if div not in e.depth:
-                    continue
-                if e.v1 == vid:
-                    M[row_of[("node", e.id, div)]][j] = 1
-                elif e.v2 == vid:
-                    M[row_of[("node", e.id, div)]][j] = -1
+    col = {lab: j for j, lab in enumerate(dom.labels)}
+    edge = {e.id: e for e in graph.edges}
+    for row, (_, eid, div) in zip(M, tgt.labels):
+        e = edge[eid]
+        row[col[("edge", eid)]] = e.contact[graph.divisors.index(div)]
+        if e.v1 == e.v2:
+            continue
+        if div in graph.vertex(e.v1).depth:
+            row[col[("vertex", e.v1, div)]] = 1
+        if div in graph.vertex(e.v2).depth:
+            row[col[("vertex", e.v2, div)]] = -1
     return dom, tgt, M
 
 
@@ -88,38 +83,40 @@ def build_rho(graph: DecoratedDualGraph) -> tuple[IndexedBasis, IndexedBasis, il
 class LatticeSummary:
     domain: IndexedBasis
     target: IndexedBasis
-    rho: il.Matrix
+    rho: tuple[tuple[int, ...], ...]  # rows; a tuple because the summary is shared
     kernel_basis: tuple[tuple[int, ...], ...]  # rows, HNF-canonical
     image_rank: int
-    cokernel_free_rank: int
     cokernel_torsion: tuple[int, ...]  # elementary divisors > 1
-    obstruction_dim: int
+    obstruction_dim: int  # also the free rank of the cokernel
 
 
 def lattice_summary(graph: DecoratedDualGraph) -> LatticeSummary:
     """Kernel, image rank, cokernel torsion and obstruction dimension, all
-    read off one Smith normal form of rho."""
+    read off one Smith normal form of rho.
+
+    The summary is computed on the first call for a graph object and kept
+    on it: the graph is frozen, so the summary cannot go stale, and it
+    lives exactly as long as the graph.  Graphs built from it (``reorient``,
+    ``restrict_graph``, ``dataclasses.replace``) start without one.
+    """
+    summary = vars(graph).get("_lattice_summary")
+    if summary is not None:
+        return summary
     dom, tgt, rho = build_rho(graph)
     # a zero-row matrix has no column count, so the full domain is the kernel
     kernel, divisors = il.kernel_and_divisors(rho) if rho else (il.identity(len(dom)), [])
     kernel = il.hermite_row_basis(kernel) if kernel else []
-    image_rank = len(divisors)
-    torsion = tuple(d for d in divisors if d > 1)
-    obstruction_dim = len(tgt) - image_rank
-    return LatticeSummary(
+    summary = LatticeSummary(
         domain=dom,
         target=tgt,
-        rho=rho,
+        rho=tuple(tuple(row) for row in rho),
         kernel_basis=tuple(tuple(row) for row in kernel),
-        image_rank=image_rank,
-        cokernel_free_rank=len(tgt) - image_rank,
-        cokernel_torsion=torsion,
-        obstruction_dim=obstruction_dim,
+        image_rank=len(divisors),
+        cokernel_torsion=tuple(d for d in divisors if d > 1),
+        obstruction_dim=len(tgt) - len(divisors),
     )
-
-
-def kernel_dim(graph: DecoratedDualGraph) -> int:
-    return len(lattice_summary(graph).kernel_basis)
+    object.__setattr__(graph, "_lattice_summary", summary)
+    return summary
 
 
 def component_count(graph: DecoratedDualGraph) -> int:
@@ -128,9 +125,4 @@ def component_count(graph: DecoratedDualGraph) -> int:
     Equals the index of the row lattice of rho inside its saturation,
     which is the product of the elementary divisors.
     """
-    return prod(il.elementary_divisors(build_rho(graph)[2]))
-
-
-def _component_count(summary: LatticeSummary) -> int:
-    """:func:`component_count` read off an existing summary."""
-    return prod(summary.cokernel_torsion)
+    return prod(lattice_summary(graph).cokernel_torsion)

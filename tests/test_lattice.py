@@ -1,13 +1,18 @@
+import dataclasses
 import random
 
 import pytest
 
 from logcone import intlinalg as il
 from logcone import lattice, report
+from logcone.cone import ObstructionInput, obstruction_test, sigma_cone, toric_ideal_generators
 from logcone.corpus import corpus_load
-from logcone.lattice import build_rho, component_count, lattice_summary
+from logcone.dims import expected_dim_stratum
+from logcone.graph import restrict_graph
+from logcone.lattice import build_rho, component_count, domain_basis, lattice_summary, target_basis
+from logcone.serialize import graph_from_dict, graph_to_dict
 
-from helpers import random_reorientation, random_witness_graph
+from helpers import random_free_graph, random_layered_graph, random_reorientation, random_witness_graph
 
 
 def column(matrix, j):
@@ -44,6 +49,41 @@ def test_rho_d1rd22pt_matches_hand_computation():
     assert column(rho, dom.index(("vertex", "v1", "1"))) == [-1, 0, 1, 0]
     assert column(rho, dom.index(("vertex", "v2", "1"))) == [0, -1, 0, 1]
     assert column(rho, dom.index(("vertex", "v3", "1"))) == [0, 0, -1, -1]
+
+
+def column_rho(graph):
+    """The lattice map built column by column, scanning every edge for each
+    domain generator: the construction ``build_rho`` replaced."""
+    dom, tgt = domain_basis(graph), target_basis(graph)
+    M = il.zeros(len(tgt), len(dom))
+    row_of = {lab: i for i, lab in enumerate(tgt.labels)}
+    for j, lab in enumerate(dom.labels):
+        if lab[0] == "edge":
+            e = next(e for e in graph.edges if e.id == lab[1])
+            for div, value in zip(graph.divisors, e.contact):
+                if div in e.depth:
+                    M[row_of[("node", e.id, div)]][j] = value
+        else:
+            _, vid, div = lab
+            for e in graph.edges:
+                if e.v1 == e.v2 or div not in e.depth:
+                    continue
+                if e.v1 == vid:
+                    M[row_of[("node", e.id, div)]][j] = 1
+                elif e.v2 == vid:
+                    M[row_of[("node", e.id, div)]][j] = -1
+    return M
+
+
+def test_rho_equals_column_construction_on_graph_families():
+    rng = random.Random(9)
+    families = (random_witness_graph, random_free_graph, random_layered_graph)
+    for _ in range(30):
+        for family in families:
+            g = family(rng)
+            h = random_reorientation(g, rng)
+            assert build_rho(g)[2] == column_rho(g)
+            assert build_rho(h)[2] == column_rho(h)
 
 
 def test_empty_target_for_shallow_graph():
@@ -160,21 +200,74 @@ def test_summary_makes_one_smith_form(monkeypatch):
     summary = lattice_summary(corpus_load("d1rd22pt").graph)
     # one Smith form of rho, building V (for the kernel) and not U
     assert [args[1:] for args in calls] == [(False, True)]
-    assert calls[0][0] == summary.rho
+    assert tuple(map(tuple, calls[0][0])) == summary.rho
 
 
-def test_component_count_builds_no_transforms(monkeypatch):
-    calls = counting(monkeypatch, il, "_smith")
-    assert component_count(corpus_load("toricex").graph) == 2
-    assert [args[1:] for args in calls] == [(False, False)]
+def smith_forms_of_rho(smiths, graph):
+    """The recorded il._smith calls whose input is the graph's rho."""
+    rho = lattice_summary(graph).rho
+    return [args for args in smiths if tuple(map(tuple, args[0])) == rho]
 
 
-@pytest.mark.parametrize("name", ["d1rd22pt", "toricex"])
-def test_build_report_shares_one_summary(name, monkeypatch):
-    summaries = counting(monkeypatch, report, "lattice_summary")
-    rhos = counting(monkeypatch, lattice, "build_rho")
+def unit_eta(graph):
+    return ObstructionInput({lab[1:]: 1 for lab in target_basis(graph).labels})
+
+
+@pytest.mark.parametrize("name", ["d1rd22pt", "toricex", "ddecomp-d3"])
+def test_library_path_builds_one_rho_and_one_smith_form(name, monkeypatch):
+    # summaries are kept per graph object, so the count assumes a fresh graph
     entry = corpus_load(name)
-    out = report.build_report(entry.graph, b"", entry.context)
-    assert len(summaries) == 1
+    g = entry.graph
+    rhos = counting(monkeypatch, lattice, "build_rho")
+    smiths = counting(monkeypatch, il, "_smith")
+    lattice_summary(g)
+    component_count(g)
+    sigma_cone(g)
+    toric_ideal_generators(g)
+    obstruction_test(g, unit_eta(g))
+    expected_dim_stratum(g, entry.context)
     assert len(rhos) == 1
-    assert out["component_count"] == component_count(entry.graph)
+    assert len(smith_forms_of_rho(smiths, g)) == 1
+
+
+@pytest.mark.parametrize("name", ["d1rd22pt", "toricex", "ddecomp-d3"])
+def test_build_report_builds_one_rho_and_one_smith_form(name, monkeypatch):
+    entry = corpus_load(name)
+    rhos = counting(monkeypatch, lattice, "build_rho")
+    smiths = counting(monkeypatch, il, "_smith")
+    out = report.build_report(entry.graph, b"", entry.context)
+    assert len(rhos) == 1
+    assert len(smith_forms_of_rho(smiths, entry.graph)) == 1
+    assert out["component_count"] == component_count(corpus_load(name).graph)
+
+
+def test_derived_graphs_do_not_inherit_the_analysis(monkeypatch):
+    g = corpus_load("toricex").graph
+    lattice_summary(g)
+    derived = (
+        g.reorient(["e1"]),
+        restrict_graph(g, ["1"]),
+        dataclasses.replace(g),
+    )
+    rhos = counting(monkeypatch, lattice, "build_rho")
+    for h in derived:
+        before = len(rhos)
+        summary = lattice_summary(h)
+        assert len(rhos) == before + 1
+        assert summary == lattice_summary(graph_from_dict(graph_to_dict(h)))
+
+
+def test_analysis_leaves_graph_identity_alone():
+    g, fresh = corpus_load("d1rd22pt").graph, corpus_load("d1rd22pt").graph
+    lattice_summary(g)
+    assert g == fresh
+    assert hash(g) == hash(fresh)
+    assert repr(g) == repr(fresh)
+    assert graph_to_dict(g) == graph_to_dict(fresh)
+
+
+def test_shared_summary_is_immutable():
+    g = corpus_load("toricex").graph
+    with pytest.raises(TypeError):
+        lattice_summary(g).rho[0][0] += 1
+    assert obstruction_test(g, unit_eta(g)).is_identity
