@@ -6,14 +6,15 @@ cut out by one binomial equation per (edge, label) pair; the associated
 irreducible toric variety is cut out by the binomials of the saturated
 lattice.  The obstruction test decides membership of a tuple of leading
 coefficient ratios in the subtorus exponentiating the image lattice.  The
-cone, the toric ideal and the obstruction test read rho, its kernel and
-the target basis from the graph's one lattice summary.
+cone, the toric ideal and the obstruction test read the kernel, its
+annihilator and the characters from the graph's one lattice summary.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from . import intlinalg as il
@@ -156,14 +157,7 @@ def toric_ideal_generators(graph: DecoratedDualGraph) -> BinomialSystem:
     test-suite for the verification contract).
     """
     summary = lattice_summary(graph)
-    dom = summary.domain
-    kernel = [list(r) for r in summary.kernel_basis]
-    if not kernel:
-        basis_rows = il.identity(len(dom))
-    else:
-        basis_rows = il.kernel_basis(kernel)
-    basis_rows = il.hermite_row_basis(basis_rows) if basis_rows else []
-    return BinomialSystem(dom, tuple(tuple(r) for r in basis_rows))
+    return BinomialSystem(summary.domain, summary.toric_basis)
 
 
 def eliminate_unit_entries(
@@ -182,27 +176,29 @@ def eliminate_unit_entries(
     """
     vectors = [list(m) for m in system.exponents]
     labels = list(system.basis.labels)
-    changed = True
-    while changed:
-        changed = False
-        for vi, vec in enumerate(vectors):
-            unit = next(
-                (j for j, x in enumerate(vec) if abs(x) == 1 and labels[j][0] in kinds),
-                None,
-            )
-            if unit is None:
-                continue
-            sign = vec[unit]
-            for wi, w in enumerate(vectors):
-                if wi != vi and w[unit] != 0:
-                    f = w[unit] * sign
-                    vectors[wi] = [a - f * b for a, b in zip(w, vec)]
-            del vectors[vi]
-            for w in vectors:
-                del w[unit]
-            del labels[unit]
-            changed = True
-            break
+    allowed = [lab[0] in kinds for lab in labels]
+    # vectors before the pivot had no unit entry and only a changed one can
+    # gain one, so the scan resumes at the first changed vector or the pivot
+    vi = 0
+    while vi < len(vectors):
+        vec = vectors[vi]
+        unit = next((j for j, x in enumerate(vec) if (x == 1 or x == -1) and allowed[j]), None)
+        if unit is None:
+            vi += 1
+            continue
+        sign = vec[unit]
+        resume = vi
+        for wi, w in enumerate(vectors):
+            if wi != vi and w[unit] != 0:
+                f = w[unit] * sign
+                vectors[wi] = [a - f * b for a, b in zip(w, vec)]
+                resume = min(resume, wi)
+        del vectors[vi]
+        for w in vectors:
+            del w[unit]
+        del labels[unit]
+        del allowed[unit]
+        vi = resume
     return [tuple(v) for v in vectors], labels
 
 
@@ -226,15 +222,15 @@ def obstruction_test(
     """Decide whether eta lies in the subtorus exponentiating the image.
 
     Membership holds iff every character annihilating the image evaluates
-    to 1 on eta; the character lattice is the (saturated) integer kernel of
-    the transposed lattice map, extracted exactly and reduced to its
-    Hermite basis, whose small entries keep the float evaluation accurate.
+    to 1 on eta.  The characters are the summary's Hermite basis of the left
+    kernel of rho, whose small entries keep exp(sum m_i log z_i) accurate;
+    a value that overflows a float is a violation at ``sys.float_info.max``.
     Only the final evaluation |eta^m - 1| is numerical.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, not {tol!r}")
     summary = lattice_summary(graph)
-    values = []
+    logs = []
     for lab in summary.target.labels:
         key = (lab[1], lab[2])
         if key not in eta.eta:
@@ -242,21 +238,14 @@ def obstruction_test(
         z = complex(eta.eta[key])
         if z == 0:
             raise ValueError(f"eta entry for edge {lab[1]!r}, label {lab[2]!r} is zero")
-        values.append(z)
-    characters = il.hermite_row_basis(il.left_kernel_basis(summary.rho))
-    log_safe = all(1e-6 <= abs(z) <= 1e6 for z in values)
+        logs.append(cmath.log(z))
     violations = []
-    for m in characters:
-        if log_safe:
-            # evaluate in log space: exp(sum m_i log z_i)
-            acc = sum(mi * cmath.log(z) for mi, z in zip(m, values) if mi != 0)
-            val = cmath.exp(acc)
-        else:
-            val = 1 + 0j
-            for mi, z in zip(m, values):
-                if mi != 0:
-                    val *= z ** mi
-        dist = abs(val - 1)
-        if dist > tol or math.isnan(dist):
-            violations.append((tuple(m), dist))
+    for m in summary.characters:
+        acc = sum(mi * lz for mi, lz in zip(m, logs) if mi != 0)
+        try:
+            dist = abs(cmath.exp(acc) - 1)
+        except OverflowError:
+            dist = sys.float_info.max
+        if not dist <= tol:
+            violations.append((m, dist))
     return ObstructionVerdict(not violations, tuple(violations))

@@ -58,10 +58,6 @@ def _swap_cols(M: Matrix, i: int, j: int, first_row: int) -> None:
         row[i], row[j] = row[j], row[i]
 
 
-def _add_row(M: Matrix, dst: int, src: int, c: int) -> None:
-    M[dst] = [a + c * b for a, b in zip(M[dst], M[src])]
-
-
 def _support(row: list[int], start: int = 0) -> list[tuple[int, int]]:
     """(index, value) of the nonzero entries of row[start:]."""
     return [(k, x) for k, x in enumerate(row[start:], start) if x]
@@ -84,7 +80,8 @@ def _smith(M: Matrix, left: bool, right: bool) -> tuple[Matrix | None, Matrix, M
     Row operations touch only U and column operations touch only V, so D
     and the transforms that are built do not depend on which are skipped.
     V is kept transposed while it is built, so a column operation on V is
-    a row operation on its transpose.  Pivots are chosen by minimal
+    a row operation on its transpose; both transforms are updated through
+    the nonzero entries of their pivot row.  Pivots are chosen by minimal
     absolute value, the first such entry in row-major order; the scan
     stops at the first unit entry, which no later entry can beat.
     """
@@ -127,6 +124,7 @@ def _smith(M: Matrix, left: bool, right: bool) -> tuple[Matrix | None, Matrix, M
             # change only when the pivot is swapped out
             done = True
             pivot_row = None
+            u_row = None
             for i in range(t + 1, m):
                 if A[i][t] != 0:
                     q = A[i][t] // A[t][t]
@@ -134,12 +132,14 @@ def _smith(M: Matrix, left: bool, right: bool) -> tuple[Matrix | None, Matrix, M
                         pivot_row = _support(A[t], t)
                     _axpy(A[i], pivot_row, -q)
                     if U is not None:
-                        _add_row(U, i, t, -q)
+                        if u_row is None:
+                            u_row = _support(U[t])
+                        _axpy(U[i], u_row, -q)
                     if A[i][t] != 0:
                         _swap_rows(A, t, i)
                         if U is not None:
                             _swap_rows(U, t, i)
-                        pivot_row = None
+                        pivot_row = u_row = None
                         done = False
             if not done:
                 continue
@@ -179,9 +179,9 @@ def _smith(M: Matrix, left: bool, right: bool) -> tuple[Matrix | None, Matrix, M
                     break
             if offender is None:
                 break
-            _add_row(A, t, offender, 1)
+            _axpy(A[t], _support(A[offender], t), 1)
             if U is not None:
-                _add_row(U, t, offender, 1)
+                _axpy(U[t], _support(U[offender]), 1)
         if A[t][t] < 0:
             _negate_row(A, t)
             if U is not None:
@@ -212,17 +212,10 @@ def rank(M: Matrix) -> int:
     return len(_diagonal(_smith(M, False, False)[1]))
 
 
-def kernel_and_divisors(M: Matrix) -> tuple[list[list[int]], list[int]]:
-    """Integer kernel basis (as rows) and elementary divisors of M, from one
-    Smith normal form that builds only V."""
-    _, D, V = _smith(M, False, True)
-    divisors = _diagonal(D)
-    return transpose(V)[len(divisors):], divisors
-
-
 def kernel_basis(M: Matrix) -> list[list[int]]:
-    """Integer basis of {x : M x = 0}; rows of the result are the basis."""
-    return kernel_and_divisors(M)[0]
+    """Integer basis of {x : M x = 0}, as rows: the columns of V past the rank."""
+    _, D, V = _smith(M, False, True)
+    return transpose(V)[len(_diagonal(D)):]
 
 
 def left_kernel_basis(M: Matrix) -> list[list[int]]:

@@ -4,9 +4,9 @@ The map sends the lattice spanned by one generator per edge and one per
 (vertex, divisor-label-in-depth) pair to the lattice with one generator per
 (edge, label-in-edge-depth) pair.  Its kernel describes the gluing
 deformations of the corresponding stratum, its cokernel the Lie algebra of
-the obstruction torus; all invariants are computed exactly via the Smith
-normal form.  Each graph object keeps its one :class:`LatticeSummary`, and
-every lattice, cone and dimension function reads its invariants from it.
+the obstruction torus; all invariants are read exactly off one Smith
+normal form of rho.  Each graph object keeps its one :class:`LatticeSummary`,
+and every lattice, cone and dimension function reads its invariants from it.
 """
 
 from __future__ import annotations
@@ -85,14 +85,24 @@ class LatticeSummary:
     target: IndexedBasis
     rho: tuple[tuple[int, ...], ...]  # rows; a tuple because the summary is shared
     kernel_basis: tuple[tuple[int, ...], ...]  # rows, HNF-canonical
+    characters: tuple[tuple[int, ...], ...]  # left kernel of rho, HNF
+    toric_basis: tuple[tuple[int, ...], ...]  # annihilator of the kernel, HNF
     image_rank: int
     cokernel_torsion: tuple[int, ...]  # elementary divisors > 1
     obstruction_dim: int  # also the free rank of the cokernel
 
 
+def _hermite(rows) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(row) for row in il.hermite_row_basis(rows))
+
+
 def lattice_summary(graph: DecoratedDualGraph) -> LatticeSummary:
-    """Kernel, image rank, cokernel torsion and obstruction dimension, all
-    read off one Smith normal form of rho.
+    """Every lattice invariant of rho, read off one Smith normal form
+    U·rho·V = D of rank r (Cohen, 1993, §2.4.3), each basis in Hermite form.
+
+    The kernel is the last n - r columns of V, the characters (the left
+    kernel) the last m - r rows of U, and the annihilator of the kernel the
+    first r rows of V⁻¹: row i of U·rho = D·V⁻¹ divided by d_i.
 
     The summary is computed on the first call for a graph object and kept
     on it: the graph is frozen, so the summary cannot go stale, and it
@@ -103,17 +113,33 @@ def lattice_summary(graph: DecoratedDualGraph) -> LatticeSummary:
     if summary is not None:
         return summary
     dom, tgt, rho = build_rho(graph)
-    # a zero-row matrix has no column count, so the full domain is the kernel
-    kernel, divisors = il.kernel_and_divisors(rho) if rho else (il.identity(len(dom)), [])
-    kernel = il.hermite_row_basis(kernel) if kernel else []
+    n = len(dom)
+    if rho:
+        U, D, V = il.smith_normal_form(rho)
+        divisors = il._diagonal(D)
+    else:
+        # a zero-row matrix has no column count, so the full domain is the kernel
+        U, divisors, V = [], [], il.identity(n)
+    r = len(divisors)
+    # a row of rho has at most three nonzeros, so U·rho goes through them
+    rows = [il._support(row) for row in rho]
+    annihilator = []
+    for u, d in zip(U, divisors):
+        acc = [0] * n
+        for c, row in zip(u, rows):
+            if c:
+                il._axpy(acc, row, c)
+        annihilator.append([x // d for x in acc])
     summary = LatticeSummary(
         domain=dom,
         target=tgt,
         rho=tuple(tuple(row) for row in rho),
-        kernel_basis=tuple(tuple(row) for row in kernel),
-        image_rank=len(divisors),
+        kernel_basis=_hermite([[row[j] for row in V] for j in range(r, n)]),
+        characters=_hermite(U[r:]),
+        toric_basis=_hermite(annihilator),
+        image_rank=r,
         cokernel_torsion=tuple(d for d in divisors if d > 1),
-        obstruction_dim=len(tgt) - len(divisors),
+        obstruction_dim=len(tgt) - r,
     )
     object.__setattr__(graph, "_lattice_summary", summary)
     return summary

@@ -215,16 +215,6 @@ def context_from_dict(data: dict) -> GeometryContext:
     )
 
 
-def context_to_dict(ctx: GeometryContext) -> dict:
-    return {
-        "schema": SCHEMA_TAG,
-        "dim": ctx.dim_x,
-        "divisors": list(ctx.divisors),
-        "c1": dict(ctx.c1_pairing),
-        "pairing": {tag: dict(row) for tag, row in ctx.divisor_pairing.items()},
-    }
-
-
 def rational_from_str(text) -> Fraction:
     if isinstance(text, int):
         return Fraction(text)
@@ -343,5 +333,6 @@ def load_eta(path, graph: DecoratedDualGraph) -> ObstructionInput:
 
 
 def dump_json(data: dict) -> str:
-    """Canonical serialization: sorted keys, fixed separators, newline end."""
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """Canonical serialization: sorted keys, fixed separators, newline end;
+    a NaN or infinite float raises ValueError, so the output is always JSON."""
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"

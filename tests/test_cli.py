@@ -1,11 +1,14 @@
 import hashlib
 import json
+import math
 import random
+import sys
 
 import pytest
 
 from logcone.cli import main
 from logcone.corpus import corpus_list, corpus_load
+from logcone.lattice import target_basis
 from logcone.serialize import (
     FormatError,
     dump_json,
@@ -250,6 +253,84 @@ def test_obstruct_rejects_bad_tolerance(corpus_dir, tmp_path, capsys, tol):
     assert code == 1
     assert out == ""
     assert err.startswith("error: tolerance must be positive and finite, not ")
+
+
+def strict_json(text):
+    """json.loads that rejects the non-JSON tokens NaN, Infinity and -Infinity."""
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+EXTREME_ETAS = {
+    # every entry equal: eta^m = 1 for the character [1, 1, -1, -1]
+    "huge": ({"e1": {"1": 1e200, "2": 1e200}, "e2": {"1": 1e200, "2": 1e200}}, 0),
+    "tiny": ({"e1": {"1": 1e-200, "2": 1e-200}, "e2": {"1": 1e-200, "2": 1e-200}}, 0),
+    # eta^m = 1e800 overflows a float: a violation with a finite distance
+    "overflow": ({"e1": {"1": 1e200, "2": 1e200}, "e2": {"1": 1e-200, "2": 1e-200}}, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTREME_ETAS))
+def test_obstruct_extreme_eta(corpus_dir, tmp_path, capsys, name):
+    eta, want = EXTREME_ETAS[name]
+    path = tmp_path / "eta.json"
+    path.write_text(dump_json({"schema": "logcone/1", "eta": eta}))
+    code, out, _ = run(capsys, "obstruct", str(corpus_dir / "toricex.json"), str(path), "--json")
+    assert code == want
+    data = strict_json(out)
+    assert data["is_identity"] is (want == 0)
+    if want:
+        assert data["violations"] == [{"character": [1, 1, -1, -1], "distance": sys.float_info.max}]
+    code, out, _ = run(capsys, "obstruct", str(corpus_dir / "toricex.json"), str(path))
+    assert code == want
+    assert out.splitlines()[0] == ("identity" if want == 0 else "not identity")
+
+
+def json_runs(corpus_dir, tmp_path):
+    """argv of every subcommand with --json over the corpus, plus the
+    obstruction test on unit, perturbed and extreme etas."""
+    for name in corpus_list():
+        graph = str(corpus_dir / f"{name}.json")
+        ctx = str(corpus_dir / f"{name}.ctx.json")
+        for command in ("validate", "genus", "lattice", "tropical", "cone", "gluing", "ideal", "report"):
+            yield [command, graph, "--json"]
+        yield ["validate", graph, "--ctx", ctx, "--json"]
+        yield ["dims", graph, "--ctx", ctx, "--json"]
+        yield ["forget", graph, "--keep", ",".join(corpus_load(name).graph.divisors[:1]), "--json"]
+        yield ["corpus", name, "--json"]
+        labels = target_basis(corpus_load(name).graph).labels
+        for value in (1, 1.01, 1e200, 1e-200, 1e300):
+            eta = {}
+            for i, (_, edge, label) in enumerate(labels):
+                eta.setdefault(edge, {})[label] = value if i % 2 else 1
+            path = tmp_path / f"{name}-{value}.eta.json"
+            path.write_text(dump_json({"schema": "logcone/1", "eta": eta}))
+            yield ["obstruct", graph, str(path), "--json"]
+    yield ["report", str(corpus_dir), "--json"]
+    yield ["corpus", "--json"]
+    for name, (eta, _) in sorted(EXTREME_ETAS.items()):
+        path = tmp_path / f"toricex-{name}.eta.json"
+        path.write_text(dump_json({"schema": "logcone/1", "eta": eta}))
+        yield ["obstruct", str(corpus_dir / "toricex.json"), str(path), "--json"]
+
+
+def test_every_json_output_is_strict_json(corpus_dir, tmp_path, capsys):
+    runs = 0
+    for argv in json_runs(corpus_dir, tmp_path):
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 2), (argv, err)
+        strict_json(out)
+        runs += 1
+    assert runs > 150
+
+
+def test_dump_json_refuses_non_finite_floats():
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            dump_json({"distance": value})
 
 
 def test_report_has_no_tolerance(corpus_dir, capsys):

@@ -1,12 +1,14 @@
 import cmath
 import math
 import random
+import sys
 
 import pytest
 
 from logcone import dd
 from logcone import intlinalg as il
 from logcone.cone import (
+    BinomialSystem,
     ObstructionInput,
     eliminate_unit_entries,
     gluing_equations,
@@ -15,7 +17,7 @@ from logcone.cone import (
     toric_ideal_generators,
 )
 from logcone.corpus import corpus_load
-from logcone.lattice import build_rho, component_count, lattice_summary
+from logcone.lattice import IndexedBasis, build_rho, component_count, lattice_summary
 from logcone.serialize import graph_from_dict
 from logcone.tropical import tropical_feasibility
 
@@ -196,6 +198,59 @@ def test_eliminate_unit_entries_d1rd22pt():
     assert all(lab[0] == "edge" for lab in labels)
 
 
+def reference_eliminate_unit_entries(system, kinds=("vertex",)):
+    """The elimination loop that rescans every vector from the first one
+    after each pivot: the quadratic version ``eliminate_unit_entries``
+    replaced, kept as its reference."""
+    vectors = [list(m) for m in system.exponents]
+    labels = list(system.basis.labels)
+    changed = True
+    while changed:
+        changed = False
+        for vi, vec in enumerate(vectors):
+            unit = next(
+                (j for j, x in enumerate(vec) if abs(x) == 1 and labels[j][0] in kinds),
+                None,
+            )
+            if unit is None:
+                continue
+            sign = vec[unit]
+            for wi, w in enumerate(vectors):
+                if wi != vi and w[unit] != 0:
+                    f = w[unit] * sign
+                    vectors[wi] = [a - f * b for a, b in zip(w, vec)]
+            del vectors[vi]
+            for w in vectors:
+                del w[unit]
+            del labels[unit]
+            changed = True
+            break
+    return [tuple(v) for v in vectors], labels
+
+
+def test_eliminate_unit_entries_matches_rescanning_loop():
+    rng = random.Random(50)
+    systems = []
+    for _ in range(40):
+        for g in (random_witness_graph(rng), random_free_graph(rng, n_divisors=2), random_layered_graph(rng)):
+            systems.append(toric_ideal_generators(g))
+            systems.append(gluing_equations(g))
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        labels = tuple((rng.choice(("edge", "vertex")), f"x{j}", "1") for j in range(n))
+        exponents = tuple(
+            tuple(rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n)) for _ in range(rng.randint(0, 8))
+        )
+        systems.append(BinomialSystem(IndexedBasis(labels), exponents))
+    eliminated = 0
+    for system in systems:
+        for kinds in (("vertex",), ("edge",), ("edge", "vertex"), ()):
+            got = eliminate_unit_entries(system, kinds)
+            assert got == reference_eliminate_unit_entries(system, kinds)
+            eliminated += len(system.exponents) - len(got[0])
+    assert eliminated > 1000
+
+
 def test_obstruction_all_ones_identity():
     g = corpus_load("toricex").graph
     eta = ObstructionInput({(e.id, lab): 1.0 for e in g.edges for lab in e.depth})
@@ -268,6 +323,25 @@ def test_obstruction_rejects_bad_input():
     del missing[("e1", "1")]
     with pytest.raises(ValueError):
         obstruction_test(g, ObstructionInput(missing))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 5e-324])
+def test_obstruction_is_exact_for_extreme_eta_on_the_image(scale):
+    # the character of toricex is [1, 1, -1, -1], so equal entries give 1
+    g = corpus_load("toricex").graph
+    eta = {(e.id, lab): complex(scale, scale) for e in g.edges for lab in e.depth}
+    verdict = obstruction_test(g, ObstructionInput(eta))
+    assert verdict.is_identity, verdict.violations
+
+
+def test_obstruction_overflow_is_a_finite_violation():
+    g = corpus_load("toricex").graph
+    eta = {("e1", "1"): 1e200, ("e1", "2"): 1e200, ("e2", "1"): 1e-200, ("e2", "2"): 1e-200}
+    verdict = obstruction_test(g, ObstructionInput(eta))
+    assert verdict.violations == (((1, 1, -1, -1), sys.float_info.max),)
+    # a value that is tiny but not zero is far from the identity, not an error
+    eta = {("e1", "1"): 1e-200, ("e1", "2"): 1e-200, ("e2", "1"): 1e200, ("e2", "2"): 1e200}
+    assert obstruction_test(g, ObstructionInput(eta)).violations == (((1, 1, -1, -1), 1.0),)
 
 
 def cramer_rays(A, idx):

@@ -6,7 +6,7 @@ import pytest
 from logcone import intlinalg as il
 from logcone import lattice, report
 from logcone.cone import ObstructionInput, obstruction_test, sigma_cone, toric_ideal_generators
-from logcone.corpus import corpus_load
+from logcone.corpus import corpus_list, corpus_load
 from logcone.dims import expected_dim_stratum
 from logcone.graph import restrict_graph
 from logcone.lattice import build_rho, component_count, domain_basis, lattice_summary, target_basis
@@ -198,8 +198,9 @@ def counting(monkeypatch, module, name):
 def test_summary_makes_one_smith_form(monkeypatch):
     calls = counting(monkeypatch, il, "_smith")
     summary = lattice_summary(corpus_load("d1rd22pt").graph)
-    # one Smith form of rho, building V (for the kernel) and not U
-    assert [args[1:] for args in calls] == [(False, True)]
+    # one Smith form of rho, building U (for the characters and the
+    # annihilator of the kernel) and V (for the kernel)
+    assert [args[1:] for args in calls] == [(True, True)]
     assert tuple(map(tuple, calls[0][0])) == summary.rho
 
 
@@ -228,6 +229,20 @@ def test_library_path_builds_one_rho_and_one_smith_form(name, monkeypatch):
     expected_dim_stratum(g, entry.context)
     assert len(rhos) == 1
     assert len(smith_forms_of_rho(smiths, g)) == 1
+
+
+@pytest.mark.parametrize("name", corpus_list())
+def test_library_path_takes_one_smith_form_in_total(name, monkeypatch):
+    entry = corpus_load(name)
+    g = entry.graph
+    smiths = counting(monkeypatch, il, "_smith")
+    lattice_summary(g)
+    component_count(g)
+    sigma_cone(g)
+    toric_ideal_generators(g)
+    obstruction_test(g, unit_eta(g))
+    expected_dim_stratum(g, entry.context)
+    assert len(smiths) == 1
 
 
 @pytest.mark.parametrize("name", ["d1rd22pt", "toricex", "ddecomp-d3"])
@@ -271,3 +286,69 @@ def test_shared_summary_is_immutable():
     with pytest.raises(TypeError):
         lattice_summary(g).rho[0][0] += 1
     assert obstruction_test(g, unit_eta(g)).is_identity
+
+
+def characters_from_transpose(summary):
+    """The characters as an SNF of rho transposed gives them."""
+    return il.hermite_row_basis(il.left_kernel_basis(summary.rho)) if summary.rho else []
+
+
+def toric_basis_from_kernel(summary):
+    """The annihilator of the kernel as an SNF of the kernel basis gives it."""
+    kernel = [list(r) for r in summary.kernel_basis]
+    rows = il.kernel_basis(kernel) if kernel else il.identity(len(summary.domain))
+    return il.hermite_row_basis(rows) if rows else []
+
+
+def assert_bases_match_separate_smith_forms(g):
+    s = lattice_summary(g)
+    for basis in (s.kernel_basis, s.characters, s.toric_basis):
+        assert type(basis) is tuple
+        assert all(type(row) is tuple for row in basis)
+    assert [list(m) for m in s.characters] == characters_from_transpose(s)
+    assert [list(m) for m in s.toric_basis] == toric_basis_from_kernel(s)
+    assert len(s.characters) == len(s.target) - s.image_rank
+    assert len(s.toric_basis) == s.image_rank
+    return s
+
+
+def test_characters_and_toric_basis_match_separate_smith_forms():
+    rng = random.Random(12)
+    families = (random_witness_graph, random_free_graph, random_layered_graph)
+    for _ in range(30):
+        for family in families:
+            g = family(rng)
+            assert_bases_match_separate_smith_forms(g)
+            assert_bases_match_separate_smith_forms(random_reorientation(g, rng))
+    for name in corpus_list():
+        assert_bases_match_separate_smith_forms(corpus_load(name).graph)
+
+
+def test_bases_without_rows_or_kernel():
+    from logcone.graph import DecoratedDualGraph, EdgeData, VertexData
+
+    # no rows: every depth is empty, so rho is 0 x n and the kernel is everything
+    no_rows = DecoratedDualGraph(
+        ("1",),
+        (VertexData("a", 0, "t", frozenset()), VertexData("b", 0, "t", frozenset())),
+        (EdgeData("e", "a", "b", frozenset(), (0,)),),
+        (),
+    )
+    s = assert_bases_match_separate_smith_forms(no_rows)
+    assert s.kernel_basis == ((1,),)
+    assert s.characters == s.toric_basis == ()
+    # empty domain: one vertex, no edges
+    empty = DecoratedDualGraph((), (VertexData("v", 0, "t", frozenset()),), (), ())
+    s = assert_bases_match_separate_smith_forms(empty)
+    assert s.kernel_basis == s.characters == s.toric_basis == ()
+    # trivial kernel: a loop at a depth-empty vertex gives rho = [[2]]
+    loop = DecoratedDualGraph(
+        ("1",),
+        (VertexData("v", 0, "t", frozenset()),),
+        (EdgeData("e", "v", "v", frozenset({"1"}), (2,)),),
+        (),
+    )
+    s = assert_bases_match_separate_smith_forms(loop)
+    assert s.rho == ((2,),)
+    assert s.kernel_basis == s.characters == ()
+    assert s.toric_basis == ((1,),)
