@@ -17,10 +17,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from . import intlinalg as il
 from .dd import extreme_rays
 from .graph import DecoratedDualGraph
-from .lattice import IndexedBasis, domain_basis, lattice_summary
+from .lattice import IndexedBasis, lattice_summary
 
 DEFAULT_TOL = 1e-9
 
@@ -50,7 +49,8 @@ def sigma_cone(graph: DecoratedDualGraph) -> ConeDescription:
         return ConeDescription(ambient, 0, (), True)
     # halfspace j: (sum_i x_i * kernel[i][j]) >= 0
     halfspaces = [[kernel[i][j] for i in range(kdim)] for j in range(ambient)]
-    # a ray r in kernel coordinates is sum_i r_i * kernel[i] in the domain
+    # a ray r in kernel coordinates is sum_i r_i * kernel[i] in the domain;
+    # the kernel lattice is saturated, so a primitive r maps to a primitive v
     support = [[(j, x) for j, x in enumerate(row) if x] for row in kernel]
     rays = []
     for r in extreme_rays(halfspaces):
@@ -59,7 +59,7 @@ def sigma_cone(graph: DecoratedDualGraph) -> ConeDescription:
             if ri:
                 for j, x in row:
                     v[j] += ri * x
-        rays.append(il.primitive(v))
+        rays.append(v)
     rays.sort()
     # a pointed cone is the hull of its rays, so the sum of the rays is a
     # relative interior point; it is interior in the kernel exactly when no
@@ -123,29 +123,21 @@ def gluing_equations(graph: DecoratedDualGraph) -> BinomialSystem:
 
     The relation is eps_e^{s} * t_tail = t_head, written in the orientation
     that makes the contact entry non-negative; a t factor is dropped when
-    the label is outside that vertex's depth.  Exponent vectors are +/- the
-    rows of the lattice map, so they generate its row lattice.
+    the label is outside that vertex's depth.  Its exponent vector is the
+    (edge, label) row of the lattice map times the sign of its contact
+    entry, so the exponents generate the row lattice of the map.
     """
-    dom = domain_basis(graph)
-    col = {lab: i for i, lab in enumerate(dom.labels)}
+    summary = lattice_summary(graph)
+    col = {lab[1]: j for j, lab in enumerate(summary.domain.labels) if lab[0] == "edge"}
     exponents = []
     seen = set()
-    for e in sorted(graph.edges, key=lambda e: e.id):
-        for label in sorted(e.depth, key=graph.divisors.index):
-            s = e.contact[graph.divisors.index(label)]
-            tail, head = (e.v1, e.v2) if s >= 0 else (e.v2, e.v1)
-            m = [0] * len(dom)
-            m[col[("edge", e.id)]] = abs(s)
-            if e.v1 != e.v2:
-                if label in graph.vertex(tail).depth:
-                    m[col[("vertex", tail, label)]] += 1
-                if label in graph.vertex(head).depth:
-                    m[col[("vertex", head, label)]] -= 1
-            key = _canonical_sign(m)
-            if key not in seen and any(key):
-                seen.add(key)
-                exponents.append(tuple(m))
-    return BinomialSystem(dom, tuple(exponents))
+    for row, (_, eid, _) in zip(summary.rho, summary.target.labels):
+        m = row if row[col[eid]] >= 0 else tuple([-x for x in row])
+        key = _canonical_sign(m)
+        if key not in seen and any(key):
+            seen.add(key)
+            exponents.append(m)
+    return BinomialSystem(summary.domain, tuple(exponents))
 
 
 def toric_ideal_generators(graph: DecoratedDualGraph) -> BinomialSystem:

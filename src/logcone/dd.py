@@ -7,6 +7,12 @@ and negative rays.  The constraint matrix here always has full column rank
 (it is a lattice basis stacked as rows), so the cone is pointed and no
 lineality handling is needed.  Output rays are primitive and sorted, hence
 deterministic.
+
+When the halfspaces are the columns of a Hermite kernel basis, the first
+independent rows are its pivot columns and form a lower-triangular block
+(Schrijver 1986, ch. 4); the start rays then come from forward
+substitution on that block.  Any other system falls back to an
+independent-row scan and a fraction-free Gauss-Jordan inverse.
 """
 
 from __future__ import annotations
@@ -65,6 +71,54 @@ def _initial_rays(A: il.Matrix, idx: list[int]) -> list[list[int]]:
     return [il.primitive([sign * T[i][k + j] for i in range(k)]) for j in range(k)]
 
 
+def _triangular_rows(A: il.Matrix, k: int) -> list[int] | None:
+    """Rows of A, in order, whose last nonzero entry is at column 0, 1, ..., k-1.
+
+    Rows found so far span the first t coordinates, so a row whose last
+    nonzero is before t is dependent and skipped, exactly as
+    :func:`_independent_rows` skips it; a row ending past t is independent
+    but breaks the triangle, and then None is returned.
+    """
+    chosen: list[int] = []
+    for i, row in enumerate(A):
+        t = len(chosen)
+        last = next((j for j in range(k - 1, -1, -1) if row[j]), -1)
+        if last == t:
+            chosen.append(i)
+            if t + 1 == k:
+                return chosen
+        elif last > t:
+            return None
+    raise ValueError("constraint matrix does not have full column rank")
+
+
+def _triangular_rays(A: il.Matrix, idx: list[int]) -> list[list[int]]:
+    """Extreme rays of {x : M x >= 0} for lower-triangular M = A[idx].
+
+    Ray j is the primitive column j of M^-1 with the sign that makes
+    (M x)_j positive.  Forward substitution keeps x primitive: x_j starts
+    at the sign of M[j][j], and x_i = -S / M[i][i], S the row's partial
+    sum, needs the earlier entries scaled by exactly |M[i][i]| / gcd(S, M[i][i]).
+    """
+    k = len(idx)
+    rows = [[(c, A[i][c]) for c in range(r) if A[i][c]] for r, i in enumerate(idx)]
+    rays = []
+    for j in range(k):
+        x = [0] * k
+        x[j] = 1 if A[idx[j]][j] > 0 else -1
+        for i in range(j + 1, k):
+            S = sum(a * x[c] for c, a in rows[i] if c >= j)
+            if S:
+                d = A[idx[i]][i]
+                g = gcd(S, d)
+                f = abs(d) // g
+                if f != 1:
+                    x = [f * a for a in x]
+                x[i] = -(S // g) if d > 0 else S // g
+        rays.append(x)
+    return rays
+
+
 def _zero_mask(s: list[int]) -> int:
     """Bit i set exactly where s[i] == 0."""
     return sum(1 << i for i, v in enumerate(s) if v == 0)
@@ -76,6 +130,12 @@ def extreme_rays(A: il.Matrix) -> list[list[int]]:
     Returns primitive integer rays sorted lexicographically; the output is
     independent of the order in which constraints are processed.
 
+    The start block is the lower-triangular run of rows found by
+    :func:`_triangular_rows` (always the case for the columns of a Hermite
+    kernel basis), solved by forward substitution; otherwise the first
+    independent rows, inverted by Gauss-Jordan elimination.  The start rays'
+    slacks are accumulated through the column supports of A.
+
     Each ray carries its slack vector s = A x and the bitmask of rows where
     s vanishes, so inserting row i reads every sign off s[i].  A positive
     and a negative ray are combined only when they are adjacent, tested
@@ -86,10 +146,22 @@ def extreme_rays(A: il.Matrix) -> list[list[int]]:
     if not A or not A[0]:
         return []
     k = len(A[0])
-    base = _independent_rows(A, k)
-    sparse = [[(j, x) for j, x in enumerate(a) if x] for a in A]
-    xs = _initial_rays(A, base)
-    ss = [[sum(x[j] * c for j, c in row) for row in sparse] for x in xs]
+    base = _triangular_rows(A, k)
+    if base is not None:
+        xs = _triangular_rays(A, base)
+    else:
+        base = _independent_rows(A, k)
+        xs = _initial_rays(A, base)
+    m = len(A)
+    cols = [[(i, a[j]) for i, a in enumerate(A) if a[j]] for j in range(k)]
+    ss = []
+    for x in xs:
+        s = [0] * m
+        for xj, col in zip(x, cols):
+            if xj:
+                for i, c in col:
+                    s[i] += xj * c
+        ss.append(s)
     zs = [_zero_mask(s) for s in ss]
     done = sum(1 << i for i in base)
 

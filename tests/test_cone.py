@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +17,8 @@ from logcone.cone import (
     sigma_cone,
     toric_ideal_generators,
 )
-from logcone.corpus import corpus_load
-from logcone.lattice import IndexedBasis, build_rho, component_count, lattice_summary
+from logcone.corpus import corpus_list, corpus_load
+from logcone.lattice import IndexedBasis, build_rho, component_count, domain_basis, lattice_summary
 from logcone.serialize import graph_from_dict
 from logcone.tropical import tropical_feasibility
 
@@ -150,6 +151,53 @@ def test_gluing_exponents_span_image_dual_with_index_component_count():
             assert image_dual == []
         if ideal and image_dual:
             assert il.lattice_index(image_dual, il.hermite_row_basis(ideal)) == component_count(g)
+
+
+def reference_gluing_equations(graph):
+    """The edge-by-edge construction that gluing_equations replaced."""
+    dom = domain_basis(graph)
+    col = {lab: i for i, lab in enumerate(dom.labels)}
+    exponents = []
+    seen = set()
+    for e in sorted(graph.edges, key=lambda e: e.id):
+        for label in sorted(e.depth, key=graph.divisors.index):
+            s = e.contact[graph.divisors.index(label)]
+            tail, head = (e.v1, e.v2) if s >= 0 else (e.v2, e.v1)
+            m = [0] * len(dom)
+            m[col[("edge", e.id)]] = abs(s)
+            if e.v1 != e.v2:
+                if label in graph.vertex(tail).depth:
+                    m[col[("vertex", tail, label)]] += 1
+                if label in graph.vertex(head).depth:
+                    m[col[("vertex", head, label)]] -= 1
+            lead = next((x for x in m if x != 0), 0)
+            key = tuple(m) if lead >= 0 else tuple(-x for x in m)
+            if key not in seen and any(key):
+                seen.add(key)
+                exponents.append(tuple(m))
+    return BinomialSystem(dom, tuple(exponents))
+
+
+def workload_graphs():
+    """Every graph of the benchmark's four workloads at run seed 0."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(perfbench)
+    return [
+        graph_from_dict(item.graph_dict)
+        for workload in workloads.WORKLOADS.values()
+        for item in workload.build(0)
+    ]
+
+
+def test_gluing_equations_match_the_edge_by_edge_reference():
+    graphs = cone_graphs(61) + workload_graphs()
+    assert len(graphs) > 700
+    for g in graphs:
+        assert gluing_equations(g) == reference_gluing_equations(g)
 
 
 def test_ideal_orthogonal_to_rays():
@@ -369,15 +417,76 @@ def test_initial_rays_match_one_solve_per_ray():
                 kernel = lattice_summary(g).kernel_basis
                 if kernel:
                     systems.append([list(col) for col in zip(*kernel)])
+    kernels = len(systems)
     for _ in range(40):
         k = rng.randint(1, 6)
         A = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(k + rng.randint(0, 3))]
         if il.rank(A) == k:
             systems.append(A)
-    assert len(systems) > 60
-    for A in systems:
+    assert kernels > 40 and len(systems) > 60
+    for n, A in enumerate(systems):
         idx = dd._independent_rows(A, len(A[0]))
         assert dd._initial_rays(A, idx) == cramer_rays(A, idx)
+        if n < kernels:
+            # a Hermite kernel's first independent rows are its triangular pivot block
+            assert dd._triangular_rows(A, len(A[0])) == idx
+            assert dd._triangular_rays(A, idx) == cramer_rays(A, idx)
+
+
+def random_triangular_system(rng):
+    """Lower-triangular rows with negative and non-unit diagonals, spread
+    among dependent rows and followed by arbitrary ones."""
+    k = rng.randint(1, 7)
+    A = []
+    for t in range(k):
+        for _ in range(rng.randint(0, 2)):
+            # ends before column t: dependent on the rows chosen so far
+            A.append([rng.randint(-4, 4) if j < t else 0 for j in range(k)])
+        diagonal = rng.choice((-6, -4, -3, -2, -1, 1, 2, 3, 5, 7))
+        A.append([rng.randint(-6, 6) if j < t else diagonal if j == t else 0 for j in range(k)])
+    A += [[rng.randint(-4, 4) for _ in range(k)] for _ in range(rng.randint(0, 4))]
+    return A
+
+
+def test_triangular_start_matches_one_solve_per_ray():
+    rng = random.Random(53)
+    for _ in range(200):
+        A = random_triangular_system(rng)
+        idx = dd._triangular_rows(A, len(A[0]))
+        assert idx == dd._independent_rows(A, len(A[0]))
+        assert dd._triangular_rays(A, idx) == cramer_rays(A, idx)
+    # a row that ends past the triangle is left to the Gauss-Jordan start
+    assert dd._triangular_rows([[1, 0], [0, 1]], 2) == [0, 1]
+    assert dd._triangular_rows([[1, 1], [1, 0]], 2) is None
+    assert dd._triangular_rows([[0, 0], [2, 0], [1, 3]], 2) == [1, 2]
+
+
+def cone_graphs(seed):
+    """The helper families, their reorientations and the corpus."""
+    rng = random.Random(seed)
+    graphs = [corpus_load(name).graph for name in corpus_list()]
+    for _ in range(40):
+        for g in (
+            random_witness_graph(rng),
+            random_free_graph(rng, n_divisors=rng.randint(1, 3)),
+            random_layered_graph(rng, max_layers=4),
+        ):
+            graphs += [g, random_reorientation(g, rng)]
+    return graphs
+
+
+def test_sigma_cone_never_needs_the_gauss_jordan_start(monkeypatch):
+    def fallback(A, idx):
+        raise AssertionError("Hermite kernel block was not triangular")
+
+    monkeypatch.setattr(dd, "_initial_rays", fallback)
+    rays = 0
+    for g in cone_graphs(59):
+        for r in sigma_cone(g).extreme_rays:
+            # the kernel lattice is saturated, so mapped rays are primitive
+            assert math.gcd(*r) == 1
+            rays += 1
+    assert rays > 500
 
 
 # Graph g50 of the lattice-multidiv benchmark workload, and log-coordinates

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from logcone import report, tropical
-from logcone.corpus import corpus_load
+from logcone.cone import sigma_cone
+from logcone.corpus import corpus_list, corpus_load
 from logcone.graph import StructuralError
+from logcone.lattice import lattice_summary
 from logcone.tropical import (
     InfeasibilityCertificate,
     TropicalWitness,
@@ -17,7 +19,7 @@ from logcone.tropical import (
     verify_witness,
 )
 
-from helpers import random_free_graph, random_reorientation, random_witness_graph
+from helpers import random_free_graph, random_layered_graph, random_reorientation, random_witness_graph
 
 
 def test_ex32_infeasible_with_certificate():
@@ -184,3 +186,36 @@ def test_integral_witness_obtainable_for_ddecomp():
     assert ok, violations
     for value in list(integral.s.values()) + list(integral.lam.values()):
         assert value.denominator == 1
+
+
+def test_feasible_exactly_when_the_gluing_cone_covers_every_coordinate():
+    # ker rho meets the open positive orthant exactly when every domain
+    # coordinate is positive on some extreme ray of sigma, and then the sum
+    # of the rays is such a point: a witness with the vertex coordinates as
+    # positions and the edge coordinates as lengths
+    rng = random.Random(71)
+    draws = [corpus_load(name).graph for name in corpus_list()]
+    for n in range(1000):
+        if n % 3 == 0:
+            draws.append(random_witness_graph(rng))
+        elif n % 3 == 1:
+            draws.append(random_free_graph(rng, n_divisors=rng.randint(1, 3)))
+        else:
+            draws.append(random_layered_graph(rng))
+    feasible = infeasible = 0
+    for g in draws + [random_reorientation(g, rng) for g in draws]:
+        labels = lattice_summary(g).domain.labels
+        rays = sigma_cone(g).extreme_rays
+        covered = all(any(r[j] for r in rays) for j in range(len(labels)))
+        witness, _ = decide(g)
+        assert (witness is not None) == covered
+        if not covered:
+            infeasible += 1
+            continue
+        feasible += 1
+        total = [sum(column) for column in zip(*rays)]
+        s = {(lab[1], lab[2]): Fraction(x) for lab, x in zip(labels, total) if lab[0] == "vertex"}
+        lam = {lab[1]: Fraction(x) for lab, x in zip(labels, total) if lab[0] == "edge"}
+        ok, violations = verify_witness(g, TropicalWitness(s, lam))
+        assert ok, violations
+    assert feasible > 1000 and infeasible > 300
