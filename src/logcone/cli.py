@@ -209,7 +209,7 @@ def _report_one(path: Path, args) -> dict:
     raw = path.read_bytes()
     graph = load_graph(path)
     ctx = None
-    candidate = path.parent / (path.name[: -len(".json")] + ".ctx.json")
+    candidate = path.parent / (path.name.removesuffix(".json") + ".ctx.json")
     if args.ctx:
         ctx = load_context(args.ctx)
     elif candidate.exists():

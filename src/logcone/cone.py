@@ -35,38 +35,26 @@ class ConeDescription:
 def sigma_cone(graph: DecoratedDualGraph) -> ConeDescription:
     """Extreme rays of kernel ∩ non-negative orthant, in domain coordinates.
 
-    The double description runs inside kernel coordinates: the kernel is
-    parametrized by its lattice basis and each ambient coordinate pulls
-    back to a halfspace.  Rays are primitive, lex-sorted.  The constraint
-    matrix has trivial nullspace (the kernel basis has full rank), so the
-    cone has no lineality and is always strictly convex.
+    The kernel is parametrized by its Hermite basis K, and each ambient
+    coordinate pulls back to a halfspace, a row of K^T; the double
+    description returns each ray as its image under K^T, which is the ray
+    in the domain.  Rays are primitive, lex-sorted.  The constraint matrix
+    has trivial nullspace (the kernel basis has full rank), so the cone has
+    no lineality and is always strictly convex.
     """
     summary = lattice_summary(graph)
-    kernel = [list(row) for row in summary.kernel_basis]
+    kernel = summary.kernel_basis
     ambient = len(summary.domain)
-    kdim = len(kernel)
-    if kdim == 0:
+    if not kernel:
         return ConeDescription(ambient, 0, (), True)
     # halfspace j: (sum_i x_i * kernel[i][j]) >= 0
-    halfspaces = [[kernel[i][j] for i in range(kdim)] for j in range(ambient)]
-    # a ray r in kernel coordinates is sum_i r_i * kernel[i] in the domain;
-    # the kernel lattice is saturated, so a primitive r maps to a primitive v
-    support = [[(j, x) for j, x in enumerate(row) if x] for row in kernel]
-    rays = []
-    for r in extreme_rays(halfspaces):
-        v = [0] * ambient
-        for ri, row in zip(r, support):
-            if ri:
-                for j, x in row:
-                    v[j] += ri * x
-        rays.append(v)
-    rays.sort()
+    halfspaces = [list(col) for col in zip(*kernel)]
+    rays = extreme_rays(halfspaces)
     # a pointed cone is the hull of its rays, so the sum of the rays is a
     # relative interior point; it is interior in the kernel exactly when no
     # coordinate that is nonzero on the kernel vanishes on every ray
-    used = {j for row in support for j, _ in row}
-    top = all(any(r[j] for r in rays) for j in used)
-    return ConeDescription(ambient, kdim, tuple(tuple(r) for r in rays), top)
+    top = all(any(r[j] for r in rays) for j, h in enumerate(halfspaces) if any(h))
+    return ConeDescription(ambient, len(kernel), tuple(map(tuple, rays)), top)
 
 
 @dataclass(frozen=True)

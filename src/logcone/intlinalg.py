@@ -73,12 +73,9 @@ def _negate_row(M: Matrix, i: int) -> None:
     M[i] = [-a for a in M[i]]
 
 
-def _smith(M: Matrix, left: bool, right: bool) -> tuple[Matrix | None, Matrix, Matrix | None]:
-    """Smith normal form core: (U, D, V) with U built only when ``left`` is
-    set and V only when ``right`` is set (None otherwise).
+def _smith(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """Smith normal form core: (U, D, V) with U*M*V = D.
 
-    Row operations touch only U and column operations touch only V, so D
-    and the transforms that are built do not depend on which are skipped.
     V is kept transposed while it is built, so a column operation on V is
     a row operation on its transpose; both transforms are updated through
     the nonzero entries of their pivot row.  Pivots are chosen by minimal
@@ -87,8 +84,8 @@ def _smith(M: Matrix, left: bool, right: bool) -> tuple[Matrix | None, Matrix, M
     """
     m, n = dims(M)
     A = copy_matrix(M)
-    U = identity(m) if left else None
-    VT = identity(n) if right else None
+    U = identity(m)
+    VT = identity(n)
     t = 0
     while t < m and t < n:
         pivot = None
@@ -110,14 +107,12 @@ def _smith(M: Matrix, left: bool, right: bool) -> tuple[Matrix | None, Matrix, M
         pi, pj = pivot
         if pi != t:
             _swap_rows(A, t, pi)
-            if U is not None:
-                _swap_rows(U, t, pi)
+            _swap_rows(U, t, pi)
         # rows above t are zero in every column >= t, so column operations
         # on A start at row t
         if pj != t:
             _swap_cols(A, t, pj, t)
-            if VT is not None:
-                _swap_rows(VT, t, pj)
+            _swap_rows(VT, t, pj)
         while True:
             # clear column t below the pivot; support lists hold the nonzero
             # entries of the pivot row (or column, or row of V^T), which
@@ -131,14 +126,12 @@ def _smith(M: Matrix, left: bool, right: bool) -> tuple[Matrix | None, Matrix, M
                     if pivot_row is None:
                         pivot_row = _support(A[t], t)
                     _axpy(A[i], pivot_row, -q)
-                    if U is not None:
-                        if u_row is None:
-                            u_row = _support(U[t])
-                        _axpy(U[i], u_row, -q)
+                    if u_row is None:
+                        u_row = _support(U[t])
+                    _axpy(U[i], u_row, -q)
                     if A[i][t] != 0:
                         _swap_rows(A, t, i)
-                        if U is not None:
-                            _swap_rows(U, t, i)
+                        _swap_rows(U, t, i)
                         pivot_row = u_row = None
                         done = False
             if not done:
@@ -153,14 +146,12 @@ def _smith(M: Matrix, left: bool, right: bool) -> tuple[Matrix | None, Matrix, M
                         pivot_col = [(i, A[i][t]) for i in range(t, m) if A[i][t]]
                     for i, x in pivot_col:
                         A[i][j] -= q * x
-                    if VT is not None:
-                        if v_row is None:
-                            v_row = _support(VT[t])
-                        _axpy(VT[j], v_row, -q)
+                    if v_row is None:
+                        v_row = _support(VT[t])
+                    _axpy(VT[j], v_row, -q)
                     if A[t][j] != 0:
                         _swap_cols(A, t, j, t)
-                        if VT is not None:
-                            _swap_rows(VT, t, j)
+                        _swap_rows(VT, t, j)
                         pivot_col = v_row = None
                         done = False
             if not done:
@@ -180,14 +171,12 @@ def _smith(M: Matrix, left: bool, right: bool) -> tuple[Matrix | None, Matrix, M
             if offender is None:
                 break
             _axpy(A[t], _support(A[offender], t), 1)
-            if U is not None:
-                _axpy(U[t], _support(U[offender]), 1)
+            _axpy(U[t], _support(U[offender]), 1)
         if A[t][t] < 0:
             _negate_row(A, t)
-            if U is not None:
-                _negate_row(U, t)
+            _negate_row(U, t)
         t += 1
-    return U, A, (transpose(VT) if VT is not None else None)
+    return U, A, transpose(VT)
 
 
 def smith_normal_form(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -196,7 +185,7 @@ def smith_normal_form(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     The diagonal entries are non-negative and satisfy d1 | d2 | ... .
     Pivots are chosen by minimal absolute value to limit coefficient growth.
     """
-    return _smith(M, True, True)
+    return _smith(M)
 
 
 def _diagonal(D: Matrix) -> list[int]:
@@ -205,16 +194,16 @@ def _diagonal(D: Matrix) -> list[int]:
 
 def elementary_divisors(M: Matrix) -> list[int]:
     """Nonzero diagonal entries of the Smith normal form of M."""
-    return _diagonal(_smith(M, False, False)[1])
+    return _diagonal(_smith(M)[1])
 
 
 def rank(M: Matrix) -> int:
-    return len(_diagonal(_smith(M, False, False)[1]))
+    return len(_diagonal(_smith(M)[1]))
 
 
 def kernel_basis(M: Matrix) -> list[list[int]]:
     """Integer basis of {x : M x = 0}, as rows: the columns of V past the rank."""
-    _, D, V = _smith(M, False, True)
+    _, D, V = _smith(M)
     return transpose(V)[len(_diagonal(D)):]
 
 

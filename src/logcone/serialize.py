@@ -216,7 +216,7 @@ def context_from_dict(data: dict) -> GeometryContext:
 
 
 def rational_from_str(text) -> Fraction:
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise FormatError(f"rational values must be integers or 'p/q' strings, got {text!r}")
@@ -230,14 +230,30 @@ def rational_to_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
 
 
+def _witness_object(value, path) -> dict:
+    if not isinstance(value, dict):
+        raise FormatError(f"{_pointer(path)}: must be an object, got {value!r}")
+    return value
+
+
+def _witness_rational(value, path) -> Fraction:
+    try:
+        return rational_from_str(value)
+    except FormatError as exc:
+        raise FormatError(f"{_pointer(path)}: {exc}") from None
+
+
 def witness_from_dict(data: dict) -> TropicalWitness:
     if not isinstance(data, dict) or data.get("schema") != SCHEMA_TAG:
         raise FormatError('witness file must be an object with "schema": "logcone/1"')
     s = {}
-    for vid, row in data.get("s", {}).items():
-        for label, value in row.items():
-            s[(vid, label)] = rational_from_str(value)
-    lam = {eid: rational_from_str(value) for eid, value in data.get("lambda", {}).items()}
+    for vid, row in _witness_object(data.get("s", {}), ("s",)).items():
+        for label, value in _witness_object(row, ("s", vid)).items():
+            s[(vid, label)] = _witness_rational(value, ("s", vid, label))
+    lam = {
+        eid: _witness_rational(value, ("lambda", eid))
+        for eid, value in _witness_object(data.get("lambda", {}), ("lambda",)).items()
+    }
     return TropicalWitness(s, lam)
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,8 @@ from logcone.serialize import (
     dump_json,
     graph_from_dict,
     graph_to_dict,
+    load_witness,
+    rational_from_str,
     witness_from_dict,
     witness_to_dict,
 )
@@ -54,6 +57,33 @@ def test_graph_round_trip_random():
 def test_witness_round_trip():
     w = corpus_load("ex32-corrected").witness
     assert witness_from_dict(witness_to_dict(w)) == w
+
+
+@pytest.mark.parametrize(
+    "body, pointer",
+    [
+        ({"s": []}, "/s"),
+        ({"s": {"v1": 3}}, "/s/v1"),
+        ({"s": {"v1": {"1": True}}}, "/s/v1/1"),
+        ({"s": {"v1": {"1": "1/0"}}}, "/s/v1/1"),
+        ({"lambda": ["e1"]}, "/lambda"),
+        ({"lambda": {"e1": True}}, "/lambda/e1"),
+        ({"lambda": {"e1": 1.5}}, "/lambda/e1"),
+    ],
+)
+def test_bad_witness_is_format_error_with_pointer(tmp_path, body, pointer):
+    path = tmp_path / "w.witness.json"
+    path.write_text(json.dumps({"schema": "logcone/1", **body}))
+    with pytest.raises(FormatError) as err:
+        load_witness(path)
+    assert str(err.value).startswith(f"{pointer}: ")
+
+
+def test_rational_from_str_rejects_booleans():
+    assert rational_from_str(3) == 3 and rational_from_str("-2/4") == Fraction(-1, 2)
+    for value in (True, False):
+        with pytest.raises(FormatError):
+            rational_from_str(value)
 
 
 def test_schema_violation_reports_pointer():
@@ -373,6 +403,32 @@ def test_report_single_file_deterministic(corpus_dir, capsys):
     assert "input_sha256" in data["provenance"]
 
 
+# SHA-256 of `logcone report <entry>.json --json` (the entry's context
+# paired from its directory), frozen so that any change to the canonical
+# report bytes fails here rather than passing unnoticed
+REPORT_SHA256 = {
+    "2lines-case1": "e23924394463b5728150a6ad5e1f2e5bd145a33a970eac6e16468ecff10dbbf2",
+    "2lines-case2": "9b3535d15a5af1cfcebbe53c169373a21197bcd9312ccc4d95eb040b9289aa89",
+    "2lines-case3": "d4f36919649075329ca13ed2331f358797376b535c9f689316ca9c7ae44d6932",
+    "d1rd22pt": "a28eb18729a768cef039d8c24c58d75ca3acb5abdcbd8b4dff5b5994abf5e29e",
+    "ddecomp-d2": "5ee1a30f2d4f73d599cd340538a7f8c94fed62b44232d562f25afcda250cd8dc",
+    "ddecomp-d3": "a2085fae829a7850c5224359c207a4ff25b5490aba9fec7d0afabbf80892644a",
+    "ddecomp-d3-figure-genus": "8b07c28645f95286212911078a679ff81cdf3a4fa47bcabddda5cb96116ebd65",
+    "ddecomp-d4": "e67392825839532459da7562e76af45c5dbf4507a59564d5e7ebc1353557ccc0",
+    "ex32": "56e80d82d8a85ba8543393511a0214af0a38c643a5a93337d14bb3e59db8ecb8",
+    "ex32-corrected": "78ad550ad14582adcdba135cf83c11adff262b6efb4ea5b2cf6c61db4158cecf",
+    "toricex": "e017950fdfdf33f9dd553fe2fd881dcced907f12e6cd92fc40af03720853192e",
+}
+
+
+def test_report_bytes_are_frozen(corpus_dir, capsys):
+    assert sorted(REPORT_SHA256) == corpus_list()
+    for name, digest in REPORT_SHA256.items():
+        code, out, _ = run(capsys, "report", str(corpus_dir / f"{name}.json"), "--json")
+        assert code in (0, 2)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
 def test_report_directory(corpus_dir, capsys):
     code, out, _ = run(capsys, "report", str(corpus_dir), "--json")
     assert code == 2  # ex32 is deliberately infeasible
@@ -380,6 +436,22 @@ def test_report_directory(corpus_dir, capsys):
     assert "toricex.json" in data
     assert "ex32.json" in data
     assert data["ex32.json"]["validation"]["tropical_feasible"] is False
+
+
+@pytest.mark.parametrize("name, decoy", [("g1", ".ctx.json"), ("graph.txt", "grap.ctx.json")])
+def test_report_pairs_a_context_only_by_the_full_stem(corpus_dir, tmp_path, capsys, name, decoy):
+    graph = tmp_path / "in" / name
+    graph.parent.mkdir()
+    graph.write_bytes((corpus_dir / "toricex.json").read_bytes())
+    (graph.parent / decoy).write_text("not a context")
+    code, out, err = run(capsys, "report", str(graph), "--json")
+    assert (code, err) == (0, "")
+    assert "dims" not in json.loads(out)
+    # the context named after the whole file name is paired
+    (graph.parent / f"{name}.ctx.json").write_bytes((corpus_dir / "toricex.ctx.json").read_bytes())
+    code, out, err = run(capsys, "report", str(graph), "--json")
+    assert (code, err) == (0, "")
+    assert "dims" in json.loads(out)
 
 
 def test_corpus_commands(capsys):

@@ -404,6 +404,14 @@ def cramer_rays(A, idx):
     return rays
 
 
+def assert_rank_increments(A, idx):
+    """idx are, in order, exactly the rows of A that raise the rank of the
+    rows before them, until the rank is full."""
+    ranks = [il.rank(A[: i + 1]) for i in range(idx[-1] + 1)]
+    assert [i for i, r in enumerate(ranks) if r > (ranks[i - 1] if i else 0)] == idx
+    assert ranks[-1] == len(A[0])
+
+
 def test_initial_rays_match_one_solve_per_ray():
     rng = random.Random(49)
     systems = []
@@ -422,15 +430,14 @@ def test_initial_rays_match_one_solve_per_ray():
         k = rng.randint(1, 6)
         A = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(k + rng.randint(0, 3))]
         if il.rank(A) == k:
-            systems.append(A)
+            # a general system enters through its Hermite form
+            systems.append(il.transpose(il.hermite_row_basis(il.transpose(A))))
     assert kernels > 40 and len(systems) > 60
-    for n, A in enumerate(systems):
-        idx = dd._independent_rows(A, len(A[0]))
-        assert dd._initial_rays(A, idx) == cramer_rays(A, idx)
-        if n < kernels:
-            # a Hermite kernel's first independent rows are its triangular pivot block
-            assert dd._triangular_rows(A, len(A[0])) == idx
-            assert dd._triangular_rays(A, idx) == cramer_rays(A, idx)
+    for A in systems:
+        # the pivot block of an echelon basis is its first independent rows
+        idx = dd._triangular_rows(A, len(A[0]))
+        assert_rank_increments(A, idx)
+        assert dd._triangular_rays(A, idx) == cramer_rays(A, idx)
 
 
 def random_triangular_system(rng):
@@ -453,12 +460,17 @@ def test_triangular_start_matches_one_solve_per_ray():
     for _ in range(200):
         A = random_triangular_system(rng)
         idx = dd._triangular_rows(A, len(A[0]))
-        assert idx == dd._independent_rows(A, len(A[0]))
+        assert_rank_increments(A, idx)
         assert dd._triangular_rays(A, idx) == cramer_rays(A, idx)
-    # a row that ends past the triangle is left to the Gauss-Jordan start
     assert dd._triangular_rows([[1, 0], [0, 1]], 2) == [0, 1]
-    assert dd._triangular_rows([[1, 1], [1, 0]], 2) is None
     assert dd._triangular_rows([[0, 0], [2, 0], [1, 3]], 2) == [1, 2]
+    # a row that ends past the triangle: not the transpose of an echelon basis
+    with pytest.raises(ValueError, match="echelon"):
+        dd._triangular_rows([[1, 1], [1, 0], [0, 1]], 2)
+    with pytest.raises(ValueError, match="echelon"):
+        dd.extreme_rays([[1, 1], [1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="full column rank"):
+        dd._triangular_rows([[1, 0], [2, 0]], 2)
 
 
 def cone_graphs(seed):
@@ -475,15 +487,12 @@ def cone_graphs(seed):
     return graphs
 
 
-def test_sigma_cone_never_needs_the_gauss_jordan_start(monkeypatch):
-    def fallback(A, idx):
-        raise AssertionError("Hermite kernel block was not triangular")
-
-    monkeypatch.setattr(dd, "_initial_rays", fallback)
+def test_sigma_cone_halfspaces_are_an_echelon_transpose():
+    # extreme_rays raises on any other system, so every graph's kernel
+    # halfspaces reach it in the form it requires
     rays = 0
     for g in cone_graphs(59):
         for r in sigma_cone(g).extreme_rays:
-            # the kernel lattice is saturated, so mapped rays are primitive
             assert math.gcd(*r) == 1
             rays += 1
     assert rays > 500

@@ -2,8 +2,11 @@
 
 A ray of the pointed cone {x : A x >= 0} in R^k is extreme exactly when its
 active rows have rank k - 1, so every extreme ray is the null direction of
-some rank-(k-1) set of k - 1 rows.  The oracle tries all of them; it is
-exponential and only used for kernel dimension <= 6.
+some rank-(k-1) set of k - 1 rows.  The oracle tries all of them on the
+original A; it is exponential and only used for kernel dimension <= 6.
+``extreme_rays`` takes the transpose of an echelon basis and returns the
+rays' images A x, so it is given the Hermite-form transpose of A, which
+spans the same column space, and compared with the oracle's images.
 """
 
 import itertools
@@ -30,13 +33,24 @@ def oracle_rays(A):
     return sorted(list(r) for r in found)
 
 
+def oracle_images(A):
+    return sorted(il.primitive(il.mat_vec(A, x)) for x in oracle_rays(A))
+
+
+def hermite_transpose(A):
+    return il.transpose(il.hermite_row_basis(il.transpose(A)))
+
+
 def assert_extreme(A, rays):
+    """Each ray is a primitive vector of col(A) ∩ R^m_{>=0} whose zero rows
+    of A have rank k - 1."""
     k = len(A[0])
-    for r in rays:
-        slack = il.mat_vec(A, r)
-        assert all(v >= 0 for v in slack)
-        assert il.primitive(r) == r
-        active = [a for a, v in zip(A, slack) if v == 0]
+    columns = il.transpose(A)
+    for s in rays:
+        assert all(v >= 0 for v in s)
+        assert il.primitive(s) == s
+        assert il.rank(columns + [s]) == k
+        active = [a for a, v in zip(A, s) if v == 0]
         assert il.rank(active or [[0] * k]) == k - 1
 
 
@@ -52,8 +66,10 @@ def test_extreme_rays_match_oracle_on_layered_graphs():
         A = halfspaces(random_layered_graph(rng))
         if not A or len(A[0]) > 6:
             continue
+        # the kernel basis is already in Hermite form
+        assert hermite_transpose(A) == A
         rays = dd.extreme_rays(A)
-        assert rays == oracle_rays(A)
+        assert rays == oracle_images(A)
         assert_extreme(A, rays)
         checked += 1
         non_simplicial += len(rays) > len(A[0])
@@ -77,8 +93,8 @@ def test_extreme_rays_match_oracle_on_random_systems():
         A = random_system(rng)
         if il.rank(A) != len(A[0]):
             continue
-        rays = dd.extreme_rays(A)
-        assert rays == oracle_rays(A)
+        rays = dd.extreme_rays(hermite_transpose(A))
+        assert rays == oracle_images(A)
         assert_extreme(A, rays)
         checked += 1
 
@@ -97,7 +113,7 @@ def test_returned_rays_are_extreme_beyond_oracle_size():
 def test_rows_not_yet_inserted_do_not_count_for_adjacency():
     # the cone over a 4-polytope with 14 vertices; counting the zeros of
     # rows inserted later in the common zero set of a pair loses the ray
-    # (1, 0, 0, 2, 1)
+    # with image A (1, 0, 0, 2, 1)
     A = [
         [-1, 0, 1, 1, 1],
         [-1, 0, 0, 0, 1],
@@ -109,7 +125,7 @@ def test_rows_not_yet_inserted_do_not_count_for_adjacency():
         [0, 0, 1, -1, 2],
         [0, 0, -1, 0, 1],
     ]
-    rays = dd.extreme_rays(A)
-    assert len(rays) == 14 and [1, 0, 0, 2, 1] in rays
-    assert rays == oracle_rays(A)
+    rays = dd.extreme_rays(hermite_transpose(A))
+    assert len(rays) == 14 and il.mat_vec(A, [1, 0, 0, 2, 1]) in rays
+    assert rays == oracle_images(A)
     assert_extreme(A, rays)

@@ -198,9 +198,9 @@ def counting(monkeypatch, module, name):
 def test_summary_makes_one_smith_form(monkeypatch):
     calls = counting(monkeypatch, il, "_smith")
     summary = lattice_summary(corpus_load("d1rd22pt").graph)
-    # one Smith form of rho, building U (for the characters and the
-    # annihilator of the kernel) and V (for the kernel)
-    assert [args[1:] for args in calls] == [(True, True)]
+    # one Smith form of rho: U gives the characters and the annihilator of
+    # the kernel, V the kernel
+    assert len(calls) == 1
     assert tuple(map(tuple, calls[0][0])) == summary.rho
 
 
