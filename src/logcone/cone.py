@@ -16,6 +16,8 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter, mul
 
 from .dd import extreme_rays
 from .graph import DecoratedDualGraph
@@ -50,10 +52,10 @@ def sigma_cone(graph: DecoratedDualGraph) -> ConeDescription:
     # halfspace j: (sum_i x_i * kernel[i][j]) >= 0
     halfspaces = [list(col) for col in zip(*kernel)]
     rays = extreme_rays(halfspaces)
-    # a pointed cone is the hull of its rays, so the sum of the rays is a
-    # relative interior point; it is interior in the kernel exactly when no
-    # coordinate that is nonzero on the kernel vanishes on every ray
-    top = all(any(r[j] for r in rays) for j, h in enumerate(halfspaces) if any(h))
+    # a pointed cone is the hull of its rays, so the sum of the rays (which
+    # are nonnegative and in the kernel) is a relative interior point; it is
+    # interior in the kernel exactly when it is nonzero where the kernel is
+    top = sum(map(bool, map(sum, zip(*rays)))) == sum(map(any, halfspaces))
     return ConeDescription(ambient, len(kernel), tuple(map(tuple, rays)), top)
 
 
@@ -120,9 +122,11 @@ def gluing_equations(graph: DecoratedDualGraph) -> BinomialSystem:
     exponents = []
     seen = set()
     for row, (_, eid, _) in zip(summary.rho, summary.target.labels):
-        m = row if row[col[eid]] >= 0 else tuple([-x for x in row])
-        key = _canonical_sign(m)
-        if key not in seen and any(key):
+        s = row[col[eid]]
+        m = row if s >= 0 else tuple([-x for x in row])
+        # a row's one edge entry is its contact entry, and edge columns lead
+        key = m if s else _canonical_sign(m)
+        if key not in seen and (s or any(key)):
             seen.add(key)
             exponents.append(m)
     return BinomialSystem(summary.domain, tuple(exponents))
@@ -155,31 +159,36 @@ def eliminate_unit_entries(
     leaving relations among the gluing parameters.
     """
     vectors = [list(m) for m in system.exponents]
-    labels = list(system.basis.labels)
-    allowed = [lab[0] in kinds for lab in labels]
+    labels = system.basis.labels
+    candidates = [j for j, lab in enumerate(labels) if lab[0] in kinds]
+    dead = set()  # pivot columns: 0 in every remaining vector, dropped at the end
     # vectors before the pivot had no unit entry and only a changed one can
     # gain one, so the scan resumes at the first changed vector or the pivot
     vi = 0
     while vi < len(vectors):
         vec = vectors[vi]
-        unit = next((j for j, x in enumerate(vec) if (x == 1 or x == -1) and allowed[j]), None)
-        if unit is None:
+        for unit in candidates:
+            sign = vec[unit]
+            if sign == 1 or sign == -1:
+                break
+        else:
             vi += 1
             continue
-        sign = vec[unit]
+        del vectors[vi]
+        dead.add(unit)
+        support = [(j, x) for j, x in enumerate(vec) if x]
         resume = vi
         for wi, w in enumerate(vectors):
-            if wi != vi and w[unit] != 0:
+            if w[unit]:
                 f = w[unit] * sign
-                vectors[wi] = [a - f * b for a, b in zip(w, vec)]
+                for j, x in support:
+                    w[j] -= f * x
                 resume = min(resume, wi)
-        del vectors[vi]
-        for w in vectors:
-            del w[unit]
-        del labels[unit]
-        del allowed[unit]
         vi = resume
-    return [tuple(v) for v in vectors], labels
+    keep = [j for j in range(len(labels)) if j not in dead]
+    # itemgetter needs an index, and of one index it returns no tuple
+    pick = itemgetter(*keep) if len(keep) > 1 else lambda v: tuple([v[j] for j in keep])
+    return list(map(pick, vectors)), [labels[j] for j in keep]
 
 
 @dataclass(frozen=True)
@@ -221,7 +230,8 @@ def obstruction_test(
         logs.append(cmath.log(z))
     violations = []
     for m in summary.characters:
-        acc = sum(mi * lz for mi, lz in zip(m, logs) if mi != 0)
+        # the nonzero terms of sum(m_i * log z_i), in order, summed from 0
+        acc = sum(map(mul, compress(m, m), compress(logs, m)))
         try:
             dist = abs(cmath.exp(acc) - 1)
         except OverflowError:

@@ -9,8 +9,11 @@ import pytest
 from logcone import dd
 from logcone import intlinalg as il
 from logcone.cone import (
+    DEFAULT_TOL,
     BinomialSystem,
     ObstructionInput,
+    ObstructionVerdict,
+    _canonical_sign,
     eliminate_unit_entries,
     gluing_equations,
     obstruction_test,
@@ -178,19 +181,24 @@ def reference_gluing_equations(graph):
     return BinomialSystem(dom, tuple(exponents))
 
 
-def workload_graphs():
-    """Every graph of the benchmark's four workloads at run seed 0."""
+def workload_items():
+    """Every input of the benchmark's four workloads at run seed 0, with its
+    graph, and for the library workloads its planted eta, built."""
     perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
     sys.path.insert(0, perfbench)
     try:
         import workloads
     finally:
         sys.path.remove(perfbench)
-    return [
-        graph_from_dict(item.graph_dict)
-        for workload in workloads.WORKLOADS.values()
-        for item in workload.build(0)
-    ]
+    items = [item for workload in workloads.WORKLOADS.values() for item in workload.build(0)]
+    for item in items:
+        workloads.prepare(item)
+    return items
+
+
+def workload_graphs():
+    """Every graph of the benchmark's four workloads at run seed 0."""
+    return [item.graph for item in workload_items()]
 
 
 def test_gluing_equations_match_the_edge_by_edge_reference():
@@ -198,6 +206,31 @@ def test_gluing_equations_match_the_edge_by_edge_reference():
     assert len(graphs) > 700
     for g in graphs:
         assert gluing_equations(g) == reference_gluing_equations(g)
+
+
+def zero_contact_rows(graph):
+    summary = lattice_summary(graph)
+    col = {lab[1]: j for j, lab in enumerate(summary.domain.labels) if lab[0] == "edge"}
+    return [row for row, lab in zip(summary.rho, summary.target.labels) if row[col[lab[1]]] == 0]
+
+
+def test_gluing_equations_rescan_the_sign_of_zero_contact_rows_only(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return _canonical_sign(m)
+
+    monkeypatch.setattr("logcone.cone._canonical_sign", counted)
+    rng = random.Random(71)
+    expected = []
+    for _ in range(60):
+        g = random_free_graph(rng, n_divisors=rng.randint(1, 3))
+        assert gluing_equations(g) == reference_gluing_equations(g)
+        expected += zero_contact_rows(g)
+    # a zero contact entry leaves the lead to a vertex entry of either sign
+    assert any(_canonical_sign(m) != m for m in expected)
+    assert calls == expected
 
 
 def test_ideal_orthogonal_to_rays():
@@ -283,6 +316,9 @@ def test_eliminate_unit_entries_matches_rescanning_loop():
         for g in (random_witness_graph(rng), random_free_graph(rng, n_divisors=2), random_layered_graph(rng)):
             systems.append(toric_ideal_generators(g))
             systems.append(gluing_equations(g))
+    for g in workload_graphs():
+        systems.append(toric_ideal_generators(g))
+        systems.append(gluing_equations(g))
     for _ in range(200):
         n = rng.randint(1, 9)
         labels = tuple((rng.choice(("edge", "vertex")), f"x{j}", "1") for j in range(n))
@@ -297,6 +333,25 @@ def test_eliminate_unit_entries_matches_rescanning_loop():
             assert got == reference_eliminate_unit_entries(system, kinds)
             eliminated += len(system.exponents) - len(got[0])
     assert eliminated > 1000
+
+
+def test_eliminate_unit_entries_down_to_one_or_no_column():
+    def system(labels, exponents):
+        return BinomialSystem(IndexedBasis(tuple(labels)), tuple(exponents))
+
+    e, a, b = ("edge", "e"), ("vertex", "a", "1"), ("vertex", "b", "1")
+    # t_a and then t_b are substituted away, leaving eps_e^2 = 1
+    one = system((e, a, b), [(2, 1, 0), (3, 0, -1), (1, 1, 1)])
+    assert eliminate_unit_entries(one) == ([(2,)], [e])
+    # every column is a pivot; the leftover relation is the empty vector
+    none = system((a, b), [(1, 2), (0, 1), (3, 5)])
+    assert eliminate_unit_entries(none) == ([()], [])
+    assert eliminate_unit_entries(system((a,), [(-1,)])) == ([], [])
+    assert eliminate_unit_entries(system((a,), [])) == ([], [a])
+    assert eliminate_unit_entries(system((), [()])) == ([()], [])
+    for s in (one, none):
+        for kinds in (("vertex",), ("edge",), ("edge", "vertex"), ()):
+            assert eliminate_unit_entries(s, kinds) == reference_eliminate_unit_entries(s, kinds)
 
 
 def test_obstruction_all_ones_identity():
@@ -577,3 +632,71 @@ def test_obstruction_accepts_planted_eta_despite_huge_raw_characters():
     verdict = obstruction_test(g, ObstructionInput(eta))
     assert not verdict.is_identity
     assert all(list(m) in characters for m, _ in verdict.violations)
+
+
+def reference_top_dimensional(graph):
+    """The nested-generator flag that sigma_cone's column sums replaced."""
+    kernel = lattice_summary(graph).kernel_basis
+    if not kernel:
+        return True
+    halfspaces = [list(col) for col in zip(*kernel)]
+    rays = sigma_cone(graph).extreme_rays
+    return all(any(r[j] for r in rays) for j, h in enumerate(halfspaces) if any(h))
+
+
+def test_top_dimensional_flag_matches_the_nested_generator():
+    seen = set()
+    for g in cone_graphs(67) + workload_graphs():
+        cone = sigma_cone(g)
+        assert cone.is_top_dimensional_in_kernel == reference_top_dimensional(g)
+        # with a kernel but no ray, the flag reads only the halfspaces
+        seen.add((bool(cone.kernel_dim), bool(cone.extreme_rays), cone.is_top_dimensional_in_kernel))
+    assert seen >= {(True, True, True), (True, True, False), (True, False, False), (False, False, True)}
+
+
+def reference_obstruction_test(graph, eta, tol=DEFAULT_TOL):
+    """obstruction_test summing each character with a generator: the
+    version the C-level sum replaced, kept as its reference (inputs are
+    assumed valid)."""
+    summary = lattice_summary(graph)
+    logs = [cmath.log(complex(eta.eta[(lab[1], lab[2])])) for lab in summary.target.labels]
+    violations = []
+    for m in summary.characters:
+        acc = sum(mi * lz for mi, lz in zip(m, logs) if mi != 0)
+        try:
+            dist = abs(cmath.exp(acc) - 1)
+        except OverflowError:
+            dist = sys.float_info.max
+        if not dist <= tol:
+            violations.append((m, dist))
+    return ObstructionVerdict(not violations, tuple(violations))
+
+
+def planted_eta(graph, rng):
+    """eta = exp(rho xi) for a random complex xi: a point of the image torus."""
+    summary = lattice_summary(graph)
+    xi = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in summary.domain.labels]
+    return {
+        (lab[1], lab[2]): cmath.exp(sum(c * x for c, x in zip(row, xi)))
+        for lab, row in zip(summary.target.labels, summary.rho)
+    }
+
+
+def test_obstruction_test_matches_the_generator_sum_exactly():
+    rng = random.Random(73)
+    cases = [(g, planted_eta(g, rng)) for g in cone_graphs(71)]
+    cases += [(item.graph, item.eta.eta if item.eta else planted_eta(item.graph, rng)) for item in workload_items()]
+    identity = violated = overflowed = 0
+    for g, planted in cases:
+        keys = sorted(planted)
+        perturbed = {k: z * complex(1 + rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)) for k, z in planted.items()}
+        # huge and tiny entries side by side make some characters overflow
+        mixed = {k: rng.choice((1e200, 1e-200)) for k in keys}
+        for eta in (planted, perturbed, dict.fromkeys(keys, 1e200), dict.fromkeys(keys, 1e-200), mixed):
+            got = obstruction_test(g, ObstructionInput(eta))
+            assert got == reference_obstruction_test(g, ObstructionInput(eta))
+            identity += got.is_identity
+            violated += not got.is_identity
+            overflowed += any(dist == sys.float_info.max for _, dist in got.violations)
+    assert len(cases) > 700
+    assert identity and violated and overflowed
