@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from fractions import Fraction
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 from .cone import ObstructionInput
 from .graph import (
@@ -60,50 +62,77 @@ def _key(value):
     return (isinstance(value, bool), value)
 
 
-def _walk(value, schema, path, errors):
-    """Append (path, message) for each violation of a Draft 2020-12 schema
-    built from the keywords below; descend only into subschemas."""
-    is_object = isinstance(value, dict)
+def compile_schema(schema):
+    """Checker ``check(value, path, errors)`` that appends (path, message) for
+    each violation of a Draft 2020-12 schema built from the keywords below.
+    Each keyword is one step, run in the schema's key order; an unknown
+    keyword or type name raises ValueError here, not when checking."""
+    steps = []
+    known = frozenset(schema.get("properties", ()))
     for keyword, arg in schema.items():
+        if keyword in _ANNOTATIONS:
+            continue
         if keyword == "type":
             if arg not in _TYPES:
                 raise ValueError(f"unsupported schema type {arg!r}")
-            if not _TYPES[arg](value):
-                errors.append((path, f"{value!r} is not of type {arg!r}"))
+            def step(value, path, errors, ok=_TYPES[arg], name=arg):
+                if not ok(value):
+                    errors.append((path, f"{value!r} is not of type {name!r}"))
         elif keyword == "required":
-            if is_object:
-                errors.extend((path, f"{name!r} is a required property") for name in arg if name not in value)
+            def step(value, path, errors, names=tuple(arg)):
+                if isinstance(value, dict):
+                    errors.extend((path, f"{name!r} is a required property") for name in names if name not in value)
         elif keyword == "properties":
-            if is_object:
-                for name, sub in arg.items():
-                    if name in value:
-                        _walk(value[name], sub, path + (name,), errors)
+            def step(value, path, errors, subs=[(name, compile_schema(sub)) for name, sub in arg.items()]):
+                if isinstance(value, dict):
+                    for name, check in subs:
+                        if name in value:
+                            check(value[name], path + (name,), errors)
+        elif keyword == "additionalProperties" and arg is False:
+            def step(value, path, errors):
+                extra = [name for name in value if name not in known] if isinstance(value, dict) else None
+                if extra:
+                    names = ", ".join(map(repr, sorted(extra)))
+                    verb = "was" if len(extra) == 1 else "were"
+                    errors.append((path, f"Additional properties are not allowed ({names} {verb} unexpected)"))
         elif keyword == "additionalProperties":
-            if is_object:
-                extra = [name for name in value if name not in schema.get("properties", ())]
-                if arg is False:
-                    if extra:
-                        names = ", ".join(map(repr, sorted(extra)))
-                        verb = "was" if len(extra) == 1 else "were"
-                        errors.append((path, f"Additional properties are not allowed ({names} {verb} unexpected)"))
-                else:
-                    for name in extra:
-                        _walk(value[name], arg, path + (name,), errors)
+            def step(value, path, errors, check=compile_schema(arg)):
+                if isinstance(value, dict):
+                    for name, item in value.items():
+                        if name not in known:
+                            check(item, path + (name,), errors)
         elif keyword == "items":
-            if isinstance(value, list):
-                for i, item in enumerate(value):
-                    _walk(item, arg, path + (i,), errors)
+            def step(value, path, errors, check=compile_schema(arg)):
+                if isinstance(value, list):
+                    for i, item in enumerate(value):
+                        check(item, path + (i,), errors)
         elif keyword == "uniqueItems":
-            if arg and isinstance(value, list) and len(set(map(_key, value))) < len(value):
-                errors.append((path, f"{value!r} has non-unique elements"))
+            def step(value, path, errors, unique=arg):
+                if unique and isinstance(value, list) and len(set(map(_key, value))) < len(value):
+                    errors.append((path, f"{value!r} has non-unique elements"))
         elif keyword == "const":
-            if _key(value) != _key(arg):
-                errors.append((path, f"{arg!r} was expected"))
+            def step(value, path, errors, want=_key(arg), message=f"{arg!r} was expected"):
+                if _key(value) != want:
+                    errors.append((path, message))
         elif keyword == "minimum":
-            if isinstance(value, (int, float)) and not isinstance(value, bool) and value < arg:
-                errors.append((path, f"{value!r} is less than the minimum of {arg!r}"))
-        elif keyword not in _ANNOTATIONS:
+            def step(value, path, errors, low=arg):
+                if isinstance(value, (int, float)) and not isinstance(value, bool) and value < low:
+                    errors.append((path, f"{value!r} is less than the minimum of {low!r}"))
+        else:
             raise ValueError(f"unsupported schema keyword {keyword!r}")
+        steps.append(step)
+    if len(steps) == 1:
+        return steps[0]
+
+    def check(value, path, errors):
+        for step in steps:
+            step(value, path, errors)
+
+    return check
+
+
+_GRAPH_CHECK = compile_schema(_GRAPH_SCHEMA)
+_CONTEXT_CHECK = compile_schema(_CONTEXT_SCHEMA)
 
 
 def _pointer(path) -> str:
@@ -115,10 +144,10 @@ def _pointer(path) -> str:
     return "/" + "/".join(str(key).replace("~", "~0").replace("/", "~1") for key in path)
 
 
-def _check(instance, schema):
+def _check(instance, check):
     errors = []
     try:
-        _walk(instance, schema, (), errors)
+        check(instance, (), errors)
     except RecursionError:  # from _key or repr on a value nested near the parser's limit
         raise FormatError("input is nested too deeply") from None
     if errors:
@@ -138,7 +167,7 @@ def _contact_map(vec, divisors) -> dict:
 
 
 def graph_from_dict(data: dict) -> DecoratedDualGraph:
-    _check(data, _GRAPH_SCHEMA)
+    _check(data, _GRAPH_CHECK)
     divisors = tuple(data["divisors"])
     vertices = tuple(
         VertexData(v["id"], int(v["genus"]), v["degree"], frozenset(v["depth"]))
@@ -203,7 +232,7 @@ def graph_to_dict(graph: DecoratedDualGraph) -> dict:
 
 
 def context_from_dict(data: dict) -> GeometryContext:
-    _check(data, _CONTEXT_SCHEMA)
+    _check(data, _CONTEXT_CHECK)
     return GeometryContext(
         dim_x=int(data["dim"]),
         divisors=tuple(data["divisors"]),
@@ -326,8 +355,10 @@ def load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+        except ValueError:  # an integer literal past sys.get_int_max_str_digits()
+            raise FormatError(f"{path}: not valid JSON: an integer literal is too long") from None
         except RecursionError:
             raise FormatError(f"{path}: not valid JSON: nested too deeply") from None
 
@@ -348,7 +379,51 @@ def load_eta(path, graph: DecoratedDualGraph) -> ObstructionInput:
     return eta_from_dict(load_json(path), graph)
 
 
+def _float(x) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _float,
+            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+
+
+def _encode(value, newline: str) -> str:
+    """``value`` as ``json.dumps(indent=2, sort_keys=True, allow_nan=False)``
+    writes it, with ``newline`` ending each line above it.  Dispatch is on the
+    exact type; subclasses go through the stdlib's ``isinstance`` order and
+    tuples are arrays.  No cycle check: every dumped object is a fresh tree."""
+    kind = type(value)
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(value)
+    if kind is not dict and kind is not list and kind is not tuple:
+        base = next((t for t in (str, int, float, dict, list, tuple) if isinstance(value, t)), None)
+        if base is None:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        return _SCALARS[base](value) if base in _SCALARS else _encode(base(value), newline)
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = newline + "  "
+    if kind is dict:
+        parts = []
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                if not isinstance(key, (int, float)) and key is not None:
+                    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+                key = _encode(key, newline)
+            scalar = _SCALARS.get(type(item))
+            parts.append(f"{encode_basestring_ascii(key)}: {_encode(item, inner) if scalar is None else scalar(item)}")
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    kinds = set(map(type, value))
+    scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+    parts = map(scalar, value) if scalar is not None else [_encode(item, inner) for item in value]
+    return "[" + inner + ("," + inner).join(parts) + newline + "]"
+
+
 def dump_json(data: dict) -> str:
     """Canonical serialization: sorted keys, fixed separators, newline end;
-    a NaN or infinite float raises ValueError, so the output is always JSON."""
-    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    a NaN or infinite float raises ValueError, so the output is always JSON.
+    Same bytes as ``json.dumps(indent=2, sort_keys=True, allow_nan=False)``."""
+    return _encode(data, "\n") + "\n"

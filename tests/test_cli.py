@@ -179,6 +179,27 @@ def test_deeply_nested_json_is_format_error(tmp_path, capsys):
     assert err == f"error: {path}: not valid JSON: nested too deeply\n"
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"schema": "logcone/1", "genus": ' + b"7" * 5000 + b"}",  # past the int-conversion digit limit
+        b"\xff\xfe{}",  # a UTF-16 byte-order mark: not UTF-8
+    ],
+)
+def test_undecodable_json_is_format_error_naming_the_file(corpus_dir, tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "genus", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: not valid JSON: ")
+    assert "set_int_max_str_digits" not in err
+    # in a directory report the message is the only sign of which file failed
+    (corpus_dir / "bad.json").write_bytes(content)
+    code, out, err = run(capsys, "report", str(corpus_dir), "--json")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {corpus_dir / 'bad.json'}: not valid JSON: ")
+
+
 def test_lattice_and_tropical_json(corpus_dir, capsys):
     code, out, _ = run(capsys, "lattice", str(corpus_dir / "toricex.json"), "--json")
     assert code == 0

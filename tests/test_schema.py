@@ -1,8 +1,11 @@
-"""The stdlib schema checker against jsonschema's Draft 2020-12 validator.
+"""The compiled schema checker against two oracles.
 
-Both must agree on valid/invalid and on the error pointers, on seeded
-mutations of every corpus graph and context and on hypothesis-generated
-JSON.  jsonschema is a test-only dependency: the package never imports it.
+On seeded mutations of every corpus graph and context and on
+hypothesis-generated JSON, ``serialize.compile_schema``'s checker must give
+the same (path, message) list as the recursive walk in
+``reference_schema.py``, and the same error pointers as jsonschema's Draft
+2020-12 validator.  jsonschema is a test-only dependency: the package never
+imports it.
 """
 
 import copy
@@ -21,7 +24,10 @@ from hypothesis import strategies as st
 from logcone import serialize
 from logcone.serialize import FormatError
 
+from reference_schema import _walk
+
 SCHEMAS = {"graph": serialize._GRAPH_SCHEMA, "context": serialize._CONTEXT_SCHEMA}
+CHECKS = {"graph": serialize._GRAPH_CHECK, "context": serialize._CONTEXT_CHECK}
 
 
 def corpus_docs():
@@ -43,22 +49,27 @@ def oracle_paths(instance, schema):
     return sorted(tuple(e.absolute_path) for e in errors)
 
 
-def assert_agree(instance, schema):
-    """Return jsonschema's error paths after checking the checker against them."""
+def assert_agree(instance, schema, check=None):
+    """Return jsonschema's error paths after checking the compiled checker
+    (built from ``schema`` unless given) against both oracles."""
+    check = check or serialize.compile_schema(schema)
     errors = []
-    serialize._walk(instance, schema, (), errors)
+    check(instance, (), errors)
+    reference = []
+    _walk(instance, schema, (), reference)
+    assert errors == reference
     want = oracle_paths(instance, schema)
     assert sorted(path for path, _ in errors) == want
     if errors:
         with pytest.raises(FormatError) as err:
-            serialize._check(instance, schema)
+            serialize._check(instance, check)
         # one "<pointer>: <message>" item per error, sorted by path
         items = sorted(errors, key=lambda e: e[0])
         # RFC 6901: "~" is written "~0" and "/" is written "~1" inside a token
         pointers = ["/" + "/".join(str(k).replace("~", "~0").replace("/", "~1") for k in p) for p, _ in items]
         assert str(err.value) == "; ".join(f"{q}: {m}" for q, (_, m) in zip(pointers, items))
     else:
-        serialize._check(instance, schema)
+        serialize._check(instance, check)
     return want
 
 
@@ -101,9 +112,9 @@ def mutate(doc, rng):
 @pytest.mark.parametrize("name, kind", corpus_docs())
 def test_checker_matches_jsonschema_on_corpus_mutations(name, kind):
     doc = load_doc(name)
-    assert_agree(doc, SCHEMAS[kind])
+    assert_agree(doc, SCHEMAS[kind], CHECKS[kind])
     rng = random.Random(name)
-    invalid = sum(bool(assert_agree(mutate(doc, rng), SCHEMAS[kind])) for _ in range(100))
+    invalid = sum(bool(assert_agree(mutate(doc, rng), SCHEMAS[kind], CHECKS[kind])) for _ in range(100))
     assert invalid >= 70
 
 
@@ -127,7 +138,7 @@ json_values = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(json_values, st.sampled_from(sorted(SCHEMAS)))
 def test_checker_matches_jsonschema_on_generated_json(value, kind):
-    assert_agree(value, SCHEMAS[kind])
+    assert_agree(value, SCHEMAS[kind], CHECKS[kind])
 
 
 @settings(max_examples=200, deadline=None)
@@ -140,7 +151,7 @@ def test_checker_matches_jsonschema_on_generated_subtrees(doc, data):
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = data.draw(json_values)
-    assert_agree(instance, SCHEMAS[kind])
+    assert_agree(instance, SCHEMAS[kind], CHECKS[kind])
 
 
 @pytest.mark.parametrize(
@@ -155,6 +166,7 @@ def test_checker_matches_jsonschema_on_generated_subtrees(doc, data):
         ({"const": 1}, 1.0, True),
         ({"const": 1}, True, False),
         ({"minimum": 0}, True, True),
+        ({"uniqueItems": False}, [1, 1], True),
     ],
 )
 def test_json_value_semantics(schema, value, ok):
@@ -164,7 +176,7 @@ def test_json_value_semantics(schema, value, ok):
 @pytest.mark.parametrize("schema", [{"type": "array", "maxItems": 1}, {"type": "number"}])
 def test_unsupported_schema_keyword_raises(schema):
     with pytest.raises(ValueError, match="unsupported schema"):
-        serialize._check([], schema)
+        serialize.compile_schema(schema)
 
 
 def slash_tilde_graph(contact):
