@@ -50,13 +50,13 @@ def sigma_cone(graph: DecoratedDualGraph) -> ConeDescription:
     if not kernel:
         return ConeDescription(ambient, 0, (), True)
     # halfspace j: (sum_i x_i * kernel[i][j]) >= 0
-    halfspaces = [list(col) for col in zip(*kernel)]
+    halfspaces = list(zip(*kernel))
     rays = extreme_rays(halfspaces)
     # a pointed cone is the hull of its rays, so the sum of the rays (which
     # are nonnegative and in the kernel) is a relative interior point; it is
     # interior in the kernel exactly when it is nonzero where the kernel is
-    top = sum(map(bool, map(sum, zip(*rays)))) == sum(map(any, halfspaces))
-    return ConeDescription(ambient, len(kernel), tuple(map(tuple, rays)), top)
+    top = sum(map(any, zip(*rays))) == sum(map(any, halfspaces))
+    return ConeDescription(ambient, len(kernel), tuple(rays), top)
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,20 @@ def _key(value):
     return (isinstance(value, bool), value)
 
 
+def _show(value) -> str:
+    """repr(value), with any int too long for str() shown by its bit length."""
+    try:
+        return repr(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits(), maybe nested
+        if isinstance(value, int):
+            return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+        if isinstance(value, list):
+            return f"[{', '.join(map(_show, value))}]"
+        if isinstance(value, dict):
+            return "{" + ", ".join(f"{_show(k)}: {_show(v)}" for k, v in value.items()) + "}"
+        return f"<{type(value).__name__}>"
+
+
 def compile_schema(schema):
     """Checker ``check(value, path, errors)`` that appends (path, message) for
     each violation of a Draft 2020-12 schema built from the keywords below.
@@ -77,7 +91,7 @@ def compile_schema(schema):
                 raise ValueError(f"unsupported schema type {arg!r}")
             def step(value, path, errors, ok=_TYPES[arg], name=arg):
                 if not ok(value):
-                    errors.append((path, f"{value!r} is not of type {name!r}"))
+                    errors.append((path, f"{_show(value)} is not of type {name!r}"))
         elif keyword == "required":
             def step(value, path, errors, names=tuple(arg)):
                 if isinstance(value, dict):
@@ -109,7 +123,7 @@ def compile_schema(schema):
         elif keyword == "uniqueItems":
             def step(value, path, errors, unique=arg):
                 if unique and isinstance(value, list) and len(set(map(_key, value))) < len(value):
-                    errors.append((path, f"{value!r} has non-unique elements"))
+                    errors.append((path, f"{_show(value)} has non-unique elements"))
         elif keyword == "const":
             def step(value, path, errors, want=_key(arg), message=f"{arg!r} was expected"):
                 if _key(value) != want:
@@ -117,7 +131,7 @@ def compile_schema(schema):
         elif keyword == "minimum":
             def step(value, path, errors, low=arg):
                 if isinstance(value, (int, float)) and not isinstance(value, bool) and value < low:
-                    errors.append((path, f"{value!r} is less than the minimum of {low!r}"))
+                    errors.append((path, f"{_show(value)} is less than the minimum of {low!r}"))
         else:
             raise ValueError(f"unsupported schema keyword {keyword!r}")
         steps.append(step)
@@ -311,7 +325,7 @@ def _complex_from_json(value, pointer: str) -> complex:
     pair = isinstance(value, list) and len(value) == 2 and all(real(x) for x in value)
     if not (real(value) or isinstance(value, str) or pair):
         raise FormatError(
-            f"{pointer}: eta entries must be numbers, 'p/q' strings, or [re, im] pairs, got {value!r}"
+            f"{pointer}: eta entries must be numbers, 'p/q' strings, or [re, im] pairs, got {_show(value)}"
         )
     try:
         if isinstance(value, str):
@@ -321,11 +335,11 @@ def _complex_from_json(value, pointer: str) -> complex:
         else:
             z = complex(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"{pointer}: bad rational {value!r}: {exc}") from None
+        raise FormatError(f"{pointer}: bad rational {_show(value)}: {exc}") from None
     except OverflowError:
         z = complex("inf")
     if not cmath.isfinite(z):
-        raise FormatError(f"{pointer}: eta entry {value!r} is not finite")
+        raise FormatError(f"{pointer}: eta entry {_show(value)} is not finite")
     return z
 
 

@@ -459,6 +459,11 @@ def cramer_rays(A, idx):
     return rays
 
 
+def cramer_images(A, idx):
+    """The rays of :func:`cramer_rays` as primitive images A x."""
+    return [il.primitive(il.mat_vec(A, x)) for x in cramer_rays(A, idx)]
+
+
 def assert_rank_increments(A, idx):
     """idx are, in order, exactly the rows of A that raise the rank of the
     rows before them, until the rank is full."""
@@ -490,9 +495,9 @@ def test_initial_rays_match_one_solve_per_ray():
     assert kernels > 40 and len(systems) > 60
     for A in systems:
         # the pivot block of an echelon basis is its first independent rows
-        idx = dd._triangular_rows(A, len(A[0]))
+        idx, rays = dd._start(A, len(A[0]))
         assert_rank_increments(A, idx)
-        assert dd._triangular_rays(A, idx) == cramer_rays(A, idx)
+        assert rays == cramer_images(A, idx)
 
 
 def random_triangular_system(rng):
@@ -514,18 +519,18 @@ def test_triangular_start_matches_one_solve_per_ray():
     rng = random.Random(53)
     for _ in range(200):
         A = random_triangular_system(rng)
-        idx = dd._triangular_rows(A, len(A[0]))
+        idx, rays = dd._start(A, len(A[0]))
         assert_rank_increments(A, idx)
-        assert dd._triangular_rays(A, idx) == cramer_rays(A, idx)
-    assert dd._triangular_rows([[1, 0], [0, 1]], 2) == [0, 1]
-    assert dd._triangular_rows([[0, 0], [2, 0], [1, 3]], 2) == [1, 2]
-    # a row that ends past the triangle: not the transpose of an echelon basis
+        assert rays == cramer_images(A, idx)
+    assert dd._start([[1, 0], [0, 1]], 2)[0] == [0, 1]
+    assert dd._start([[0, 0], [2, 0], [1, 3]], 2)[0] == [1, 2]
+    # two basis rows with the same pivot: not the transpose of an echelon basis
     with pytest.raises(ValueError, match="echelon"):
-        dd._triangular_rows([[1, 1], [1, 0], [0, 1]], 2)
+        dd._start([[1, 1], [1, 0], [0, 1]], 2)
     with pytest.raises(ValueError, match="echelon"):
         dd.extreme_rays([[1, 1], [1, 0], [0, 1]])
     with pytest.raises(ValueError, match="full column rank"):
-        dd._triangular_rows([[1, 0], [2, 0]], 2)
+        dd.extreme_rays([[1, 0], [2, 0]])
 
 
 def cone_graphs(seed):

@@ -9,12 +9,18 @@ rays' images A x, so it is given the Hermite-form transpose of A, which
 spans the same column space, and compared with the oracle's images.
 """
 
+import hashlib
 import itertools
+import json
 import random
+import sys
+from pathlib import Path
 
 from logcone import dd
 from logcone import intlinalg as il
+from logcone.cone import sigma_cone
 from logcone.lattice import lattice_summary
+from logcone.serialize import graph_from_dict
 
 from helpers import random_layered_graph
 
@@ -34,7 +40,7 @@ def oracle_rays(A):
 
 
 def oracle_images(A):
-    return sorted(il.primitive(il.mat_vec(A, x)) for x in oracle_rays(A))
+    return sorted(tuple(il.primitive(il.mat_vec(A, x))) for x in oracle_rays(A))
 
 
 def hermite_transpose(A):
@@ -48,7 +54,7 @@ def assert_extreme(A, rays):
     columns = il.transpose(A)
     for s in rays:
         assert all(v >= 0 for v in s)
-        assert il.primitive(s) == s
+        assert tuple(il.primitive(s)) == s
         assert il.rank(columns + [s]) == k
         active = [a for a, v in zip(A, s) if v == 0]
         assert il.rank(active or [[0] * k]) == k - 1
@@ -126,6 +132,54 @@ def test_rows_not_yet_inserted_do_not_count_for_adjacency():
         [0, 0, -1, 0, 1],
     ]
     rays = dd.extreme_rays(hermite_transpose(A))
-    assert len(rays) == 14 and il.mat_vec(A, [1, 0, 0, 2, 1]) in rays
+    assert len(rays) == 14 and tuple(il.mat_vec(A, [1, 0, 0, 2, 1])) in rays
     assert rays == oracle_images(A)
     assert_extreme(A, rays)
+
+
+def with_repeated_rows(A, rng):
+    """A with copies of its rows and zero rows inserted, each copy after its
+    original (so A stays an echelon transpose), and the source of each row:
+    a row index of A, or None for a zero row."""
+    layout = list(range(len(A)))
+    for _ in range(rng.randint(1, 6)):
+        src = rng.choice([None, *range(len(A))])
+        first = 0 if src is None else layout.index(src) + 1
+        layout.insert(rng.randint(first, len(layout)), src)
+    return [[0] * len(A[0]) if i is None else A[i] for i in layout], layout
+
+
+def test_equal_and_zero_halfspaces_are_solved_once():
+    rng = random.Random(101)
+    checked = 0
+    while checked < 150:
+        if checked % 2:
+            A = halfspaces(random_layered_graph(rng))
+        else:
+            A = random_system(rng)
+            A = hermite_transpose(A) if A and il.rank(A) == len(A[0]) else []
+        if not A or len(A[0]) > 6:
+            continue
+        B, layout = with_repeated_rows(A, rng)
+        rays = dd.extreme_rays(B)
+        # each ray is the ray of A with the repeated entries copied in
+        assert rays == [tuple(0 if i is None else r[i] for i in layout) for r in dd.extreme_rays(A)]
+        assert rays == oracle_images(B)
+        assert_extreme(B, rays)
+        checked += 1
+
+
+def test_large_diamond_cone_is_pinned():
+    # the benchmark's diamond generator at 6 layers of width 8: 2,640 rays
+    # over a 48-dimensional kernel, far past the oracle's reach
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import gen
+    finally:
+        sys.path.remove(perfbench)
+    cone = sigma_cone(graph_from_dict(gen.diamond_graph(random.Random(0), [8] * 6)))
+    assert cone.kernel_dim == 48
+    assert len(cone.extreme_rays) == 2640
+    digest = hashlib.sha256(json.dumps(sorted(cone.extreme_rays)).encode()).hexdigest()
+    assert digest == "17da0d33249047c3bcc1df35486054c1197016dbd9252956cc3e10b0b472bb78"

@@ -15,6 +15,7 @@ import random
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,6 +81,29 @@ def test_loaders_raise_only_documented_errors(graph, ctx, eta):
     loads_or_rejects(graph_from_dict, graph, errors=(FormatError, StructuralError))
     loads_or_rejects(context_from_dict, ctx)
     loads_or_rejects(eta_from_dict, eta, ETA_GRAPH)
+
+
+def test_loader_errors_show_huge_ints_by_bit_length():
+    # repr of an int past Python's 4,300-digit str limit raises ValueError
+    huge = 10**5000
+    graph = load_doc("toricex.json")
+    graph["vertices"][0]["id"] = huge
+    graph["legs"][0]["index"] = -huge
+    graph["edges"] = (huge,)
+    with pytest.raises(FormatError) as info:
+        graph_from_dict(graph)
+    assert str(info.value) == (
+        "/edges: <tuple> is not of type 'array'; "
+        "/legs/0/index: -<int of 16610 bits> is less than the minimum of 1; "
+        "/vertices/0/id: <int of 16610 bits> is not of type 'string'"
+    )
+    ctx = load_doc("toricex.ctx.json")
+    ctx["divisors"] = ["1", [huge], {"a": huge}]
+    with pytest.raises(FormatError, match=r"^/divisors/1: \[<int of 16610 bits>\] is not of type 'string'; "):
+        context_from_dict(ctx)
+    eta = {"schema": "logcone/1", "eta": {"e1": {"1": [huge, 0]}}}
+    with pytest.raises(FormatError, match=r"^/eta/e1/1: eta entry \[<int of 16610 bits>, 0\] is not finite$"):
+        eta_from_dict(eta, ETA_GRAPH)
 
 
 COMMANDS = [
