@@ -79,9 +79,11 @@ class BinomialSystem:
                 names.append(f"t_{lab[1]}_{lab[2]}")
         return names
 
-    def rendered(self) -> list[str]:
-        """Human-readable equations, one per exponent vector."""
-        names = self.variable_names()
+    def rendered(self, names: list[str] | None = None) -> list[str]:
+        """Human-readable equations, one per exponent vector; ``names``, when
+        given, are this system's :meth:`variable_names`."""
+        if names is None:
+            names = self.variable_names()
         out = []
         for m in self.exponents:
             pos = " * ".join(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DecoratedDualGraph, GeometryContext, _check_divisors, arithmetic_genus
+from .graph import DecoratedDualGraph, GeometryContext, _check_divisors, _valences, arithmetic_genus
 from .lattice import lattice_summary
 
 
@@ -65,15 +65,13 @@ def expected_dim_stratum(
 
     n = ctx.dim_x
     prelog = 0
+    valences = _valences(graph)
     for v in graph.vertices:
-        k_v = len(graph.legs_at(v.id))
-        for e in graph.incident_edges(v.id):
-            k_v += 2 if e.v1 == e.v2 else 1
         prelog += (
             ctx.c1(v.degree)
             - sum(ctx.inter(v.degree, label) for label in graph.divisors)
             + (n - 3) * (1 - v.genus)
-            + k_v
+            + valences[v.id]
             - len(v.depth)
         )
     for e in graph.edges:

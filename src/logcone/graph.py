@@ -258,32 +258,44 @@ def _axiom_check(graph: DecoratedDualGraph, ctx: GeometryContext | None):
 
     if ctx is not None:
         _check_divisors(graph, ctx)
+        # each vertex's sum of outgoing edge contacts and leg contacts, in
+        # one pass; a loop contributes s and -s, i.e. nothing
+        totals = {v.id: [0] * len(graph.divisors) for v in graph.vertices}
+        for e in graph.edges:
+            if e.v1 != e.v2:
+                totals[e.v1] = [a + b for a, b in zip(totals[e.v1], e.contact)]
+                totals[e.v2] = [a - b for a, b in zip(totals[e.v2], e.contact)]
+        for l in graph.legs:
+            totals[l.at] = [a + b for a, b in zip(totals[l.at], l.contact)]
         for v in graph.vertices:
             expected = [ctx.inter(v.degree, label) for label in graph.divisors]
-            total = [0] * len(graph.divisors)
-            for e in graph.incident_edges(v.id):
-                if e.v1 == e.v2:
-                    continue  # a loop contributes s and -s, i.e. nothing
-                c = graph.contact_from(e, v.id)
-                total = [a + b for a, b in zip(total, c)]
-            for l in graph.legs_at(v.id):
-                total = [a + b for a, b in zip(total, l.contact)]
-            if total != expected:
+            if totals[v.id] != expected:
                 violations.append(
                     Violation(
                         "degree-balance",
-                        f"vertex {v.id}: edge+leg contact sum {total} != divisor degrees {expected}",
+                        f"vertex {v.id}: edge+leg contact sum {totals[v.id]} != divisor degrees {expected}",
                     )
                 )
 
+    valences = _valences(graph)
     for v in graph.vertices:
-        valence = len(graph.legs_at(v.id))
-        for e in graph.incident_edges(v.id):
-            valence += 2 if e.v1 == e.v2 else 1
-        if 2 * v.genus - 2 + valence <= 0:
-            warnings.append(f"vertex {v.id} may be unstable (2g-2+valence = {2 * v.genus - 2 + valence})")
+        stability = 2 * v.genus - 2 + valences[v.id]
+        if stability <= 0:
+            warnings.append(f"vertex {v.id} may be unstable (2g-2+valence = {stability})")
 
     return tuple(violations), tuple(warnings)
+
+
+def _valences(graph: DecoratedDualGraph) -> dict[str, int]:
+    """Vertex id -> number of legs and edge ends at it (a loop counts twice),
+    in one pass over the edges and legs."""
+    valences = {v.id: 0 for v in graph.vertices}
+    for e in graph.edges:
+        valences[e.v1] += 1
+        valences[e.v2] += 1
+    for l in graph.legs:
+        valences[l.at] += 1
+    return valences
 
 
 def arithmetic_genus(graph: DecoratedDualGraph) -> int:

@@ -11,7 +11,7 @@ and every lattice, cone and dimension function reads its invariants from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 
 from . import intlinalg as il
@@ -85,11 +85,23 @@ class LatticeSummary:
     target: IndexedBasis
     rho: tuple[tuple[int, ...], ...]  # rows; a tuple because the summary is shared
     kernel_basis: tuple[tuple[int, ...], ...]  # rows, HNF-canonical
-    characters: tuple[tuple[int, ...], ...]  # left kernel of rho, HNF
     toric_basis: tuple[tuple[int, ...], ...]  # annihilator of the kernel, HNF
     image_rank: int
     cokernel_torsion: tuple[int, ...]  # elementary divisors > 1
     obstruction_dim: int  # also the free rank of the cokernel
+    # the rows of U past the rank (a list) until the characters are first
+    # read, then their Hermite form (a tuple); a function of rho, so not compared
+    _left_kernel: list | tuple = field(repr=False, compare=False)
+
+    @property
+    def characters(self) -> tuple[tuple[int, ...], ...]:
+        """The left kernel of rho, HNF; built on first read, and the rows of
+        U it is built from are then dropped."""
+        rows = self._left_kernel
+        if type(rows) is list:
+            rows = _hermite(rows)
+            object.__setattr__(self, "_left_kernel", rows)
+        return rows
 
 
 def _hermite(rows) -> tuple[tuple[int, ...], ...]:
@@ -100,9 +112,12 @@ def lattice_summary(graph: DecoratedDualGraph) -> LatticeSummary:
     """Every lattice invariant of rho, read off one Smith normal form
     U·rho·V = D of rank r (Cohen, 1993, §2.4.3), each basis in Hermite form.
 
-    The kernel is the last n - r columns of V, the characters (the left
-    kernel) the last m - r rows of U, and the annihilator of the kernel the
-    first r rows of V⁻¹: row i of U·rho = D·V⁻¹ divided by d_i.
+    The kernel is the last n - r columns of V and the characters (the left
+    kernel) the last m - r rows of U, put in Hermite form when first read.
+    The annihilator of the kernel is the saturation of the row lattice of
+    rho.  Without torsion that lattice is already saturated, so its basis is
+    the Hermite form of rho itself; with torsion it is the first r rows of
+    V⁻¹: row i of U·rho = D·V⁻¹ divided by d_i.
 
     The summary is computed on the first call for a graph object and kept
     on it: the graph is frozen, so the summary cannot go stale, and it
@@ -121,25 +136,29 @@ def lattice_summary(graph: DecoratedDualGraph) -> LatticeSummary:
         # a zero-row matrix has no column count, so the full domain is the kernel
         U, divisors, V = [], [], il.identity(n)
     r = len(divisors)
-    # a row of rho has at most three nonzeros, so U·rho goes through them
-    rows = [il._support(row) for row in rho]
-    annihilator = []
-    for u, d in zip(U, divisors):
-        acc = [0] * n
-        for c, row in zip(u, rows):
-            if c:
-                il._axpy(acc, row, c)
-        annihilator.append([x // d for x in acc])
+    torsion = tuple(d for d in divisors if d > 1)
+    if torsion:
+        # a row of rho has at most three nonzeros, so U·rho goes through them
+        rows = [il._support(row) for row in rho]
+        annihilator = []
+        for u, d in zip(U, divisors):
+            acc = [0] * n
+            for c, row in zip(u, rows):
+                if c:
+                    il._axpy(acc, row, c)
+            annihilator.append([x // d for x in acc])
+    else:
+        annihilator = rho
     summary = LatticeSummary(
         domain=dom,
         target=tgt,
         rho=tuple(tuple(row) for row in rho),
         kernel_basis=_hermite([[row[j] for row in V] for j in range(r, n)]),
-        characters=_hermite(U[r:]),
         toric_basis=_hermite(annihilator),
         image_rank=r,
-        cokernel_torsion=tuple(d for d in divisors if d > 1),
+        cokernel_torsion=torsion,
         obstruction_dim=len(tgt) - r,
+        _left_kernel=U[r:],
     )
     object.__setattr__(graph, "_lattice_summary", summary)
     return summary

@@ -15,7 +15,7 @@ from .dims import expected_dim_stratum
 from .graph import DecoratedDualGraph, GeometryContext, ValidationReport, _axiom_check, arithmetic_genus
 from .lattice import component_count, lattice_summary
 from .serialize import SCHEMA_TAG, certificate_to_dict, witness_to_dict
-from .tropical import decide
+from .tropical import decide, ray_sum_witness
 
 
 def _label_str(label: tuple) -> str:
@@ -63,10 +63,11 @@ def cone_to_dict(cone) -> dict:
 
 
 def binomials_to_dict(system) -> dict:
+    names = system.variable_names()
     return {
-        "variables": system.variable_names(),
+        "variables": names,
         "exponents": [list(m) for m in system.exponents],
-        "equations": system.rendered(),
+        "equations": system.rendered(names),
     }
 
 
@@ -90,11 +91,16 @@ def build_report(
     raw_bytes: bytes,
     ctx: GeometryContext | None = None,
 ) -> dict:
-    # the axiom checks and tropical decision of validate_graph, with the one
-    # tropical solve shared by the validation and tropical blocks
+    # the axiom checks and tropical decision of validate_graph; the gluing
+    # cone decides feasibility when its rays cover every domain coordinate,
+    # and the one exact solve runs only when they do not
     violations, warnings = _axiom_check(graph, ctx)
-    decision = None if violations else decide(graph)
-    feasible = None if decision is None else decision[0] is not None
+    feasible = None
+    if not violations:
+        sigma = sigma_cone(graph)
+        witness = ray_sum_witness(lattice_summary(graph).domain.labels, sigma.extreme_rays)
+        decision = decide(graph) if witness is None else (witness, None)
+        feasible = decision[0] is not None
     out = {
         "schema": SCHEMA_TAG,
         "provenance": {
@@ -109,7 +115,7 @@ def build_report(
     out["lattice"] = lattice_to_dict(lattice_summary(graph))
     out["component_count"] = component_count(graph)
     out["tropical"] = tropical_to_dict(*decision)
-    out["cone"] = cone_to_dict(sigma_cone(graph))
+    out["cone"] = cone_to_dict(sigma)
     out["gluing"] = binomials_to_dict(gluing_equations(graph))
     out["toric_ideal"] = binomials_to_dict(toric_ideal_generators(graph))
     if ctx is not None:

@@ -76,6 +76,19 @@ def _show(value) -> str:
         return f"<{type(value).__name__}>"
 
 
+def _order(value):
+    """Sort key for dict keys and paths of keys: ints, floats and strings
+    sort as ``sorted`` sorts them, and keys of other types, or of types that
+    do not compare with each other, by type name and :func:`_show`."""
+    if isinstance(value, tuple):
+        return tuple(map(_order, value))
+    if isinstance(value, (int, float)):
+        return (0, value)
+    if isinstance(value, str):
+        return (1, value)
+    return (2, type(value).__name__, _show(value))
+
+
 def compile_schema(schema):
     """Checker ``check(value, path, errors)`` that appends (path, message) for
     each violation of a Draft 2020-12 schema built from the keywords below.
@@ -106,7 +119,7 @@ def compile_schema(schema):
             def step(value, path, errors):
                 extra = [name for name in value if name not in known] if isinstance(value, dict) else None
                 if extra:
-                    names = ", ".join(map(repr, sorted(extra)))
+                    names = ", ".join(map(_show, sorted(extra, key=_order)))
                     verb = "was" if len(extra) == 1 else "were"
                     errors.append((path, f"Additional properties are not allowed ({names} {verb} unexpected)"))
         elif keyword == "additionalProperties":
@@ -155,7 +168,8 @@ def _pointer(path) -> str:
     ``~`` becomes ``~0`` and ``/`` becomes ``~1``, so a key ``a/b`` stays one
     reference token; the empty path is written ``/``.
     """
-    return "/" + "/".join(str(key).replace("~", "~0").replace("/", "~1") for key in path)
+    tokens = (key if isinstance(key, str) else _show(key) for key in path)
+    return "/" + "/".join(token.replace("~", "~0").replace("/", "~1") for token in tokens)
 
 
 def _check(instance, check):
@@ -165,14 +179,15 @@ def _check(instance, check):
     except RecursionError:  # from _key or repr on a value nested near the parser's limit
         raise FormatError("input is nested too deeply") from None
     if errors:
-        errors.sort(key=lambda e: e[0])
+        errors.sort(key=lambda e: _order(e[0]))
         raise FormatError("; ".join(f"{_pointer(path)}: {msg}" for path, msg in errors))
 
 
 def _contact_tuple(mapping: dict, divisors) -> tuple[int, ...]:
     unknown = set(mapping) - set(divisors)
     if unknown:
-        raise FormatError(f"contact map uses unknown divisor labels {sorted(unknown)}")
+        labels = ", ".join(map(_show, sorted(unknown, key=_order)))
+        raise FormatError(f"contact map uses unknown divisor labels [{labels}]")
     return tuple(int(mapping.get(d, 0)) for d in divisors)
 
 
@@ -262,7 +277,7 @@ def rational_from_str(text) -> Fraction:
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
-        raise FormatError(f"rational values must be integers or 'p/q' strings, got {text!r}")
+        raise FormatError(f"rational values must be integers or 'p/q' strings, got {_show(text)}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -275,7 +290,7 @@ def rational_to_str(value: Fraction) -> str:
 
 def _witness_object(value, path) -> dict:
     if not isinstance(value, dict):
-        raise FormatError(f"{_pointer(path)}: must be an object, got {value!r}")
+        raise FormatError(f"{_pointer(path)}: must be an object, got {_show(value)}")
     return value
 
 
@@ -354,13 +369,13 @@ def eta_from_dict(data: dict, graph: DecoratedDualGraph) -> ObstructionInput:
     eta = {}
     for eid, row in data["eta"].items():
         if eid not in depth:
-            raise FormatError(f"{_pointer(('eta', eid))}: the graph has no edge {eid!r}")
+            raise FormatError(f"{_pointer(('eta', eid))}: the graph has no edge {_show(eid)}")
         if not isinstance(row, dict):
             raise FormatError(f"{_pointer(('eta', eid))}: eta entry for edge {eid!r} must be a label->value object")
         for label, value in row.items():
             pointer = _pointer(("eta", eid, label))
             if label not in depth[eid]:
-                raise FormatError(f"{pointer}: label {label!r} is not in the depth of edge {eid!r}")
+                raise FormatError(f"{pointer}: label {_show(label)} is not in the depth of edge {eid!r}")
             eta[(eid, label)] = _complex_from_json(value, pointer)
     return ObstructionInput(eta)
 

@@ -10,7 +10,9 @@ settles it with one exact phase-1 solve, pivoted in integers without
 rounding (``simplex.positive_kernel_point``), and returns either a witness or,
 by Stiemke's theorem, integer multipliers y on the (edge, label) equalities
 with y^T A >= 0 and y^T A != 0.  Both can be checked independently with
-:func:`verify_witness` and :func:`verify_certificate`.
+:func:`verify_witness` and :func:`verify_certificate`.  A caller that has
+the gluing cone's extreme rays can settle feasibility from them instead,
+with :func:`ray_sum_witness`.
 """
 
 from __future__ import annotations
@@ -96,6 +98,30 @@ def decide(graph: DecoratedDualGraph):
     g = gcd(*ints)
     multipliers = {key: y // g for key, y in zip(keys, ints) if y}
     return None, InfeasibilityCertificate(multipliers)
+
+
+def ray_sum_witness(labels, rays) -> TropicalWitness | None:
+    """The sum of the gluing cone's extreme rays as a witness, or None when
+    some domain coordinate vanishes on every ray.
+
+    ``labels`` are the lattice summary's domain labels and ``rays`` the
+    extreme rays of ker rho ∩ R≥0 in those coordinates.  A (vertex, label)
+    coordinate is the position s[vertex, label] and an edge coordinate the
+    length of that edge, so a point of the cone positive in every coordinate
+    is a witness, and ker rho meets the open orthant exactly when the rays'
+    sum is such a point.  This needs the local axioms of the graph: then
+    rho's rows are the nonzero equalities of :func:`decide`.
+    """
+    total = [sum(column) for column in zip(*rays)] if rays else [0] * len(labels)
+    if not all(total):
+        return None
+    s, lam = {}, {}
+    for label, x in zip(labels, total):
+        if label[0] == "edge":
+            lam[label[1]] = Fraction(x)
+        else:
+            s[(label[1], label[2])] = Fraction(x)
+    return TropicalWitness(s, lam)
 
 
 def tropical_feasibility(graph: DecoratedDualGraph) -> TropicalWitness | None:

@@ -431,7 +431,7 @@ REPORT_SHA256 = {
     "2lines-case1": "e23924394463b5728150a6ad5e1f2e5bd145a33a970eac6e16468ecff10dbbf2",
     "2lines-case2": "9b3535d15a5af1cfcebbe53c169373a21197bcd9312ccc4d95eb040b9289aa89",
     "2lines-case3": "d4f36919649075329ca13ed2331f358797376b535c9f689316ca9c7ae44d6932",
-    "d1rd22pt": "a28eb18729a768cef039d8c24c58d75ca3acb5abdcbd8b4dff5b5994abf5e29e",
+    "d1rd22pt": "d45d7bd4084c01a7e642dff0b95b5674cb0bbd1f883cfa52b29ffe9dbe9d5f60",
     "ddecomp-d2": "5ee1a30f2d4f73d599cd340538a7f8c94fed62b44232d562f25afcda250cd8dc",
     "ddecomp-d3": "a2085fae829a7850c5224359c207a4ff25b5490aba9fec7d0afabbf80892644a",
     "ddecomp-d3-figure-genus": "8b07c28645f95286212911078a679ff81cdf3a4fa47bcabddda5cb96116ebd65",

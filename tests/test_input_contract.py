@@ -106,6 +106,27 @@ def test_loader_errors_show_huge_ints_by_bit_length():
         eta_from_dict(eta, ETA_GRAPH)
 
 
+def test_loader_errors_on_keys_json_cannot_produce():
+    # a library caller's dict can hold keys that json.load never makes:
+    # keys of types that do not sort together, and ints too long for str()
+    huge = 10**5000
+    graph = load_doc("toricex.json")
+    graph["vertices"][0].update({"zzz": 1, 5: 2})
+    with pytest.raises(FormatError) as info:
+        graph_from_dict(graph)
+    assert str(info.value) == "/vertices/0: Additional properties are not allowed (5, 'zzz' were unexpected)"
+    graph = load_doc("toricex.json")
+    graph["edges"][0]["contact"][huge] = "x"
+    with pytest.raises(FormatError) as info:
+        graph_from_dict(graph)
+    assert str(info.value) == "/edges/0/contact/<int of 16610 bits>: 'x' is not of type 'integer'"
+    graph["edges"][0]["contact"][huge] = 1
+    with pytest.raises(FormatError, match=r"^contact map uses unknown divisor labels \[<int of 16610 bits>\]$"):
+        graph_from_dict(graph)
+    with pytest.raises(FormatError, match=r"^/eta/<int of 16610 bits>: the graph has no edge <int of 16610 bits>$"):
+        eta_from_dict({"schema": "logcone/1", "eta": {huge: {}}}, ETA_GRAPH)
+
+
 COMMANDS = [
     ["report"],
     ["validate"],

@@ -7,19 +7,26 @@ from logcone import report, tropical
 from logcone.cone import sigma_cone
 from logcone.corpus import corpus_list, corpus_load
 from logcone.graph import StructuralError
-from logcone.lattice import lattice_summary
+from logcone.lattice import LatticeSummary, lattice_summary
 from logcone.tropical import (
     InfeasibilityCertificate,
     TropicalWitness,
     decide,
     integralize_witness,
+    ray_sum_witness,
     tropical_certificate,
     tropical_feasibility,
     verify_certificate,
     verify_witness,
 )
 
-from helpers import random_free_graph, random_layered_graph, random_reorientation, random_witness_graph
+from helpers import (
+    matching_context,
+    random_free_graph,
+    random_layered_graph,
+    random_reorientation,
+    random_witness_graph,
+)
 
 
 def test_ex32_infeasible_with_certificate():
@@ -68,8 +75,10 @@ def test_verify_certificate_rejects_unknown_indices():
         verify_certificate(g, InfeasibilityCertificate({("e1", "7"): 1}))
 
 
-@pytest.mark.parametrize("name", ["d1rd22pt", "ex32"])
+@pytest.mark.parametrize("name", corpus_list())
 def test_build_report_solves_once(name, monkeypatch):
+    # the gluing cone decides every feasible report; only an infeasible one
+    # runs the exact solve, once, for its certificate
     calls = []
     solve = tropical.positive_kernel_point
 
@@ -80,8 +89,23 @@ def test_build_report_solves_once(name, monkeypatch):
     monkeypatch.setattr(tropical, "positive_kernel_point", counted)
     entry = corpus_load(name)
     out = report.build_report(entry.graph, b"", entry.context)
-    assert len(calls) == 1
+    assert len(calls) == (1 if name == "ex32" else 0)
     assert out["validation"]["tropical_feasible"] == (name != "ex32")
+
+
+def test_build_report_never_reads_the_characters(monkeypatch):
+    def unread(summary):
+        raise AssertionError("build_report read LatticeSummary.characters")
+
+    monkeypatch.setattr(LatticeSummary, "characters", property(unread))
+    rng = random.Random(73)
+    for name in corpus_list():
+        entry = corpus_load(name)
+        report.build_report(entry.graph, b"", entry.context)
+    for family in (random_witness_graph, random_free_graph, random_layered_graph):
+        for _ in range(20):
+            g = family(rng)
+            report.build_report(g, b"", matching_context(g, rng))
 
 
 def test_corrected_ex32_feasible_and_stored_witness_verifies():
@@ -207,15 +231,12 @@ def test_feasible_exactly_when_the_gluing_cone_covers_every_coordinate():
         labels = lattice_summary(g).domain.labels
         rays = sigma_cone(g).extreme_rays
         covered = all(any(r[j] for r in rays) for j in range(len(labels)))
-        witness, _ = decide(g)
-        assert (witness is not None) == covered
+        witness = ray_sum_witness(labels, rays)
+        assert (witness is not None) == covered == (decide(g)[0] is not None)
         if not covered:
             infeasible += 1
             continue
         feasible += 1
-        total = [sum(column) for column in zip(*rays)]
-        s = {(lab[1], lab[2]): Fraction(x) for lab, x in zip(labels, total) if lab[0] == "vertex"}
-        lam = {lab[1]: Fraction(x) for lab, x in zip(labels, total) if lab[0] == "edge"}
-        ok, violations = verify_witness(g, TropicalWitness(s, lam))
+        ok, violations = verify_witness(g, witness)
         assert ok, violations
     assert feasible > 1000 and infeasible > 300
