@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 a negative verdict (axiom violations, tropical
-infeasibility, or eta off the image torus; the output is still printed),
-1 structural or IO errors.  Output is plain text
+Exit codes: 0 success, 2 a negative verdict (axiom violations from
+validate and report, tropical infeasibility, or eta off the image torus;
+the output is still printed), 1 structural or IO errors.  Output is plain text
 by default, JSON with --json; setting LOGCONE_COLOR enables ANSI
 highlighting of verdicts in text mode.
 """

@@ -42,13 +42,11 @@ def sigma_cone(graph: DecoratedDualGraph) -> ConeDescription:
     description returns each ray as its image under K^T, which is the ray
     in the domain.  Rays are primitive, lex-sorted.  The constraint matrix
     has trivial nullspace (the kernel basis has full rank), so the cone has
-    no lineality and is always strictly convex.
+    no lineality and is always strictly convex.  A zero kernel gives no
+    halfspaces and no rays, and its cone is top-dimensional in it.
     """
     summary = lattice_summary(graph)
     kernel = summary.kernel_basis
-    ambient = len(summary.domain)
-    if not kernel:
-        return ConeDescription(ambient, 0, (), True)
     # halfspace j: (sum_i x_i * kernel[i][j]) >= 0
     halfspaces = list(zip(*kernel))
     rays = extreme_rays(halfspaces)
@@ -56,7 +54,7 @@ def sigma_cone(graph: DecoratedDualGraph) -> ConeDescription:
     # are nonnegative and in the kernel) is a relative interior point; it is
     # interior in the kernel exactly when it is nonzero where the kernel is
     top = sum(map(any, zip(*rays))) == sum(map(any, halfspaces))
-    return ConeDescription(ambient, len(kernel), tuple(rays), top)
+    return ConeDescription(len(summary.domain), len(kernel), tuple(rays), top)
 
 
 @dataclass(frozen=True)

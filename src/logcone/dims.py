@@ -43,20 +43,17 @@ class DimensionReport:
     inter_total: dict[str, int]
 
 
-def expected_dim_stratum(
-    graph: DecoratedDualGraph, ctx: GeometryContext, k: int | None = None
-) -> DimensionReport:
+def expected_dim_stratum(graph: DecoratedDualGraph, ctx: GeometryContext) -> DimensionReport:
     """Expected dimension of the stratum of a decorated dual graph.
 
-    ``k`` defaults to the number of legs.  The kernel dimension vanishes
+    The marked points are the graph's legs.  The kernel dimension vanishes
     only for the one-vertex, edgeless, depth-empty graph, in which case
     the stratum is the main stratum.  A context over other divisor labels
     than the graph's raises StructuralError.
     """
     _check_divisors(graph, ctx)
     summary = lattice_summary(graph)
-    if k is None:
-        k = len(graph.legs)
+    k = len(graph.legs)
     g = arithmetic_genus(graph)
     tags = [v.degree for v in graph.vertices]
     main = expected_dim_main(ctx, g, k, tags)

@@ -102,14 +102,6 @@ class DecoratedDualGraph:
     def divisor_index(self, label: str) -> int:
         return self.divisors.index(label)
 
-    def contact_from(self, e: EdgeData, vid: str) -> tuple[int, ...]:
-        """Contact vector of e oriented away from vid (derived, never stored)."""
-        if vid == e.v1:
-            return e.contact
-        if vid == e.v2:
-            return tuple(-x for x in e.contact)
-        raise StructuralError(f"vertex {vid!r} is not an endpoint of edge {e.id!r}")
-
     def incident_edges(self, vid: str) -> list[EdgeData]:
         return [e for e in self.edges if vid in (e.v1, e.v2)]
 
@@ -389,12 +381,13 @@ def smooth_divisor_partial_order(graph: DecoratedDualGraph) -> PartialOrderResul
     while remaining:
         minimal = {c for c in remaining if not (pred_count[c] & remaining)}
         if not minimal:
-            # walk predecessors until a class repeats: cycle witness
-            c = next(iter(remaining))
+            # walk predecessors, first in vertex order, until a class
+            # repeats: cycle witness
+            c = next(x for x in classes if x in remaining)
             seen: list[str] = []
             while c not in seen:
                 seen.append(c)
-                c = next(iter(pred_count[c] & remaining))
+                c = next(x for x in classes if x in pred_count[c] and x in remaining)
             cycle = seen[seen.index(c):] + [c]
             return PartialOrderResult(None, ("cycle", *(classes[x][0] for x in cycle)))
         for c in minimal:

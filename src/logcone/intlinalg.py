@@ -1,15 +1,15 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra: the Smith and Hermite normal forms.
 
 Everything here works on plain ``list[list[int]]`` matrices with Python's
 arbitrary-precision integers; no floating point enters any computation.
-These routines back the lattice invariants (kernels, cokernel torsion,
-lattice indices) used by the rest of the package.
+One Smith normal form of the lattice map gives every lattice invariant
+(kernel, cokernel torsion, characters, the saturated row lattice), and the
+Hermite form makes each basis canonical.  The determinants, rational solves
+and lattice indices the tests check them with are in
+``tests/reference_intlinalg.py``.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import gcd
 
 Matrix = list[list[int]]
 
@@ -31,17 +31,6 @@ def transpose(M: Matrix) -> Matrix:
     if not M:
         return []
     return [list(col) for col in zip(*M)]
-
-
-def matmul(A: Matrix, B: Matrix) -> Matrix:
-    if not A or not B:
-        return [[0] * (len(B[0]) if B else 0) for _ in A]
-    bt = transpose(B)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in A]
-
-
-def mat_vec(M: Matrix, v: list) -> list:
-    return [sum(x * y for x, y in zip(row, v)) for row in M]
 
 
 def dims(M: Matrix) -> tuple[int, int]:
@@ -73,14 +62,16 @@ def _negate_row(M: Matrix, i: int) -> None:
     M[i] = [-a for a in M[i]]
 
 
-def _smith(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form core: (U, D, V) with U*M*V = D.
+def smith_normal_form(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """Return (U, D, V) with U*M*V = D, U and V unimodular, D diagonal.
 
-    V is kept transposed while it is built, so a column operation on V is
-    a row operation on its transpose; both transforms are updated through
-    the nonzero entries of their pivot row.  Pivots are chosen by minimal
-    absolute value, the first such entry in row-major order; the scan
-    stops at the first unit entry, which no later entry can beat.
+    The diagonal entries are non-negative and satisfy d1 | d2 | ... .
+    Pivots are chosen by minimal absolute value to limit coefficient
+    growth, the first such entry in row-major order; the scan stops at the
+    first unit entry, which no later entry can beat.  V is kept transposed
+    while it is built, so a column operation on V is a row operation on its
+    transpose; both transforms are updated through the nonzero entries of
+    their pivot row.
     """
     m, n = dims(M)
     A = copy_matrix(M)
@@ -179,31 +170,22 @@ def _smith(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     return U, A, transpose(VT)
 
 
-def smith_normal_form(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Return (U, D, V) with U*M*V = D, U and V unimodular, D diagonal.
-
-    The diagonal entries are non-negative and satisfy d1 | d2 | ... .
-    Pivots are chosen by minimal absolute value to limit coefficient growth.
-    """
-    return _smith(M)
-
-
 def _diagonal(D: Matrix) -> list[int]:
     return [D[i][i] for i in range(min(dims(D))) if D[i][i] != 0]
 
 
 def elementary_divisors(M: Matrix) -> list[int]:
     """Nonzero diagonal entries of the Smith normal form of M."""
-    return _diagonal(_smith(M)[1])
+    return _diagonal(smith_normal_form(M)[1])
 
 
 def rank(M: Matrix) -> int:
-    return len(_diagonal(_smith(M)[1]))
+    return len(_diagonal(smith_normal_form(M)[1]))
 
 
 def kernel_basis(M: Matrix) -> list[list[int]]:
     """Integer basis of {x : M x = 0}, as rows: the columns of V past the rank."""
-    _, D, V = _smith(M)
+    _, D, V = smith_normal_form(M)
     return transpose(V)[len(_diagonal(D)):]
 
 
@@ -257,95 +239,3 @@ def hermite_row_basis(M: Matrix) -> list[list[int]]:
             if r == m:
                 break
     return [row for row in A[:r]]
-
-
-def det(M: Matrix) -> int:
-    """Determinant via fraction-free Bareiss elimination."""
-    n = len(M)
-    if n == 0:
-        return 1
-    A = copy_matrix(M)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k] != 0:
-                    _swap_rows(A, k, i)
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
-def solve_rational(A: Matrix, b: list) -> list[Fraction] | None:
-    """One exact solution of A x = b over the rationals, or None."""
-    m, n = dims(A)
-    aug = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(A, b)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
-    return x
-
-
-def express_in_basis(basis: list[list[int]], v: list[int]) -> list[Fraction] | None:
-    """Coefficients c with sum(c_i * basis_i) = v, or None if v is outside the span."""
-    if not basis:
-        return [] if all(x == 0 for x in v) else None
-    return solve_rational(transpose(basis), v)
-
-
-def lattice_index(sub: list[list[int]], sup: list[list[int]]) -> int:
-    """Index of the lattice spanned by ``sub`` inside the one spanned by ``sup``.
-
-    Both are given as row lists and must span lattices of equal rank, with
-    sub contained in sup; raises ValueError otherwise.
-    """
-    sub_h = hermite_row_basis(sub)
-    sup_h = hermite_row_basis(sup)
-    if len(sub_h) != len(sup_h):
-        raise ValueError("lattices have different ranks")
-    coeffs = []
-    for v in sub_h:
-        c = express_in_basis(sup_h, v)
-        if c is None or any(x.denominator != 1 for x in c):
-            raise ValueError("first lattice is not a sublattice of the second")
-        coeffs.append([int(x) for x in c])
-    return abs(det(coeffs))
-
-
-def primitive(v: list[int]) -> list[int]:
-    """Scale an integer vector by 1/gcd; direction (sign) is preserved."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return list(v)
-    w = [x // g for x in v]
-    return w

@@ -30,9 +30,6 @@ class IndexedBasis:
 
     labels: tuple[tuple, ...]
 
-    def index(self, label) -> int:
-        return self.labels.index(label)
-
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -115,9 +112,10 @@ def lattice_summary(graph: DecoratedDualGraph) -> LatticeSummary:
     The kernel is the last n - r columns of V and the characters (the left
     kernel) the last m - r rows of U, put in Hermite form when first read.
     The annihilator of the kernel is the saturation of the row lattice of
-    rho.  Without torsion that lattice is already saturated, so its basis is
-    the Hermite form of rho itself; with torsion it is the first r rows of
-    V⁻¹: row i of U·rho = D·V⁻¹ divided by d_i.
+    rho, spanned by the first r rows of V⁻¹.  Row i of U·rho = D·V⁻¹ is d_i
+    times row i of V⁻¹, so it lies in rho's row lattice when d_i = 1, and
+    the saturation is spanned by rho's rows together with row i of U·rho
+    divided by d_i for each d_i > 1.
 
     The summary is computed on the first call for a graph object and kept
     on it: the graph is frozen, so the summary cannot go stale, and it
@@ -131,30 +129,29 @@ def lattice_summary(graph: DecoratedDualGraph) -> LatticeSummary:
     n = len(dom)
     if rho:
         U, D, V = il.smith_normal_form(rho)
-        divisors = il._diagonal(D)
     else:
         # a zero-row matrix has no column count, so the full domain is the kernel
-        U, divisors, V = [], [], il.identity(n)
+        U, D, V = [], [], il.identity(n)
+    divisors = [D[i][i] for i in range(min(len(D), n)) if D[i][i]]
     r = len(divisors)
     torsion = tuple(d for d in divisors if d > 1)
-    if torsion:
-        # a row of rho has at most three nonzeros, so U·rho goes through them
-        rows = [il._support(row) for row in rho]
-        annihilator = []
-        for u, d in zip(U, divisors):
-            acc = [0] * n
-            for c, row in zip(u, rows):
-                if c:
-                    il._axpy(acc, row, c)
-            annihilator.append([x // d for x in acc])
-    else:
-        annihilator = rho
+    # the torsion divisors come last; a row of rho has at most three
+    # nonzeros, so U·rho goes through them
+    support = [[(j, x) for j, x in enumerate(row) if x] for row in rho] if torsion else ()
+    saturation = list(rho)
+    for u, d in zip(U[r - len(torsion):], torsion):
+        acc = [0] * n
+        for c, row in zip(u, support):
+            if c:
+                for j, x in row:
+                    acc[j] += c * x
+        saturation.append([x // d for x in acc])
     summary = LatticeSummary(
         domain=dom,
         target=tgt,
         rho=tuple(tuple(row) for row in rho),
         kernel_basis=_hermite([[row[j] for row in V] for j in range(r, n)]),
-        toric_basis=_hermite(annihilator),
+        toric_basis=_hermite(saturation),
         image_rank=r,
         cokernel_torsion=torsion,
         obstruction_dim=len(tgt) - r,

@@ -183,11 +183,11 @@ def _check(instance, check):
         raise FormatError("; ".join(f"{_pointer(path)}: {msg}" for path, msg in errors))
 
 
-def _contact_tuple(mapping: dict, divisors) -> tuple[int, ...]:
+def _contact_tuple(mapping: dict, divisors, path) -> tuple[int, ...]:
     unknown = set(mapping) - set(divisors)
     if unknown:
         labels = ", ".join(map(_show, sorted(unknown, key=_order)))
-        raise FormatError(f"contact map uses unknown divisor labels [{labels}]")
+        raise FormatError(f"{_pointer(path)}: contact map uses unknown divisor labels [{labels}]")
     return tuple(int(mapping.get(d, 0)) for d in divisors)
 
 
@@ -203,7 +203,7 @@ def graph_from_dict(data: dict) -> DecoratedDualGraph:
         for v in data["vertices"]
     )
     edges = []
-    for e in data["edges"]:
+    for i, e in enumerate(data["edges"]):
         rev = e.get("contact_rev")
         edges.append(
             EdgeData(
@@ -211,13 +211,13 @@ def graph_from_dict(data: dict) -> DecoratedDualGraph:
                 e["from"],
                 e["to"],
                 frozenset(e["depth"]),
-                _contact_tuple(e["contact"], divisors),
-                None if rev is None else _contact_tuple(rev, divisors),
+                _contact_tuple(e["contact"], divisors, ("edges", i, "contact")),
+                None if rev is None else _contact_tuple(rev, divisors, ("edges", i, "contact_rev")),
             )
         )
     legs = tuple(
-        LegData(l["id"], l["at"], int(l["index"]), _contact_tuple(l["contact"], divisors))
-        for l in data["legs"]
+        LegData(l["id"], l["at"], int(l["index"]), _contact_tuple(l["contact"], divisors, ("legs", i, "contact")))
+        for i, l in enumerate(data["legs"])
     )
     return DecoratedDualGraph(divisors, vertices, tuple(edges), legs)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from logcone.graph import DecoratedDualGraph, EdgeData, GeometryContext, LegData, VertexData
+from logcone.graph import DecoratedDualGraph, EdgeData, GeometryContext, LegData, StructuralError, VertexData
 
 
 def random_witness_graph(
@@ -143,6 +143,15 @@ def random_layered_graph(
     return DecoratedDualGraph(divisors, vertices, edges, ())
 
 
+def contact_from(e: EdgeData, vid: str) -> tuple[int, ...]:
+    """Contact vector of e oriented away from vid (derived, never stored)."""
+    if vid == e.v1:
+        return e.contact
+    if vid == e.v2:
+        return tuple(-x for x in e.contact)
+    raise StructuralError(f"vertex {vid!r} is not an endpoint of edge {e.id!r}")
+
+
 def matching_context(graph: DecoratedDualGraph, rng: random.Random) -> GeometryContext:
     """Context whose pairings reproduce the graph's actual balance sums."""
     c1 = {}
@@ -152,7 +161,7 @@ def matching_context(graph: DecoratedDualGraph, rng: random.Random) -> GeometryC
         for e in graph.incident_edges(v.id):
             if e.v1 == e.v2:
                 continue
-            total = [a + b for a, b in zip(total, graph.contact_from(e, v.id))]
+            total = [a + b for a, b in zip(total, contact_from(e, v.id))]
         for l in graph.legs_at(v.id):
             total = [a + b for a, b in zip(total, l.contact)]
         pairing[v.degree] = dict(zip(graph.divisors, total))

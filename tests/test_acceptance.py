@@ -39,6 +39,7 @@ from helpers import (
     random_reorientation,
     random_witness_graph,
 )
+from reference_intlinalg import lattice_index
 
 OBSTRUCTION_TOL = 1e-9
 
@@ -214,7 +215,7 @@ def test_criterion_6_component_count_oracle():
             kperp = il.kernel_basis([list(r) for r in s.kernel_basis])
         else:
             kperp = il.identity(len(s.domain))
-        assert component_count(g) == il.lattice_index(image_dual, il.hermite_row_basis(kperp))
+        assert component_count(g) == lattice_index(image_dual, il.hermite_row_basis(kperp))
 
 
 def test_criterion_7_obstruction_soundness_and_completeness():

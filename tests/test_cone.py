@@ -26,6 +26,7 @@ from logcone.serialize import graph_from_dict
 from logcone.tropical import tropical_feasibility
 
 from helpers import random_free_graph, random_layered_graph, random_reorientation, random_witness_graph
+from reference_intlinalg import det, lattice_index, mat_vec, primitive, solve_rational
 
 
 def test_sigma_toricex_single_ray():
@@ -73,8 +74,8 @@ def test_rays_lie_in_kernel_and_orthant():
         _, _, rho = build_rho(g)
         for ray in cone.extreme_rays:
             assert all(x >= 0 for x in ray)
-            assert all(v == 0 for v in il.mat_vec(rho, list(ray)))
-            assert il.primitive(list(ray)) == list(ray)
+            assert all(v == 0 for v in mat_vec(rho, list(ray)))
+            assert primitive(list(ray)) == list(ray)
 
 
 def test_convexity_on_feasible_graphs():
@@ -153,7 +154,7 @@ def test_gluing_exponents_span_image_dual_with_index_component_count():
         else:
             assert image_dual == []
         if ideal and image_dual:
-            assert il.lattice_index(image_dual, il.hermite_row_basis(ideal)) == component_count(g)
+            assert lattice_index(image_dual, il.hermite_row_basis(ideal)) == component_count(g)
 
 
 def reference_gluing_equations(graph):
@@ -450,18 +451,18 @@ def test_obstruction_overflow_is_a_finite_violation():
 def cramer_rays(A, idx):
     """Extreme rays of {x : A[idx] x >= 0}, one exact solve per ray."""
     M = [A[i] for i in idx]
-    d = abs(il.det(M))
+    d = abs(det(M))
     rays = []
     for j in range(len(idx)):
-        sol = il.solve_rational(M, [d if i == j else 0 for i in range(len(idx))])
+        sol = solve_rational(M, [d if i == j else 0 for i in range(len(idx))])
         assert all(x.denominator == 1 for x in sol)
-        rays.append(il.primitive([int(x) for x in sol]))
+        rays.append(primitive([int(x) for x in sol]))
     return rays
 
 
 def cramer_images(A, idx):
     """The rays of :func:`cramer_rays` as primitive images A x."""
-    return [il.primitive(il.mat_vec(A, x)) for x in cramer_rays(A, idx)]
+    return [primitive(mat_vec(A, x)) for x in cramer_rays(A, idx)]
 
 
 def assert_rank_increments(A, idx):

@@ -23,24 +23,25 @@ from logcone.lattice import lattice_summary
 from logcone.serialize import graph_from_dict
 
 from helpers import random_layered_graph
+from reference_intlinalg import mat_vec, primitive
 
 
 def oracle_rays(A):
     k = len(A[0])
-    rows = sorted({tuple(il.primitive(list(a))) for a in A if any(a)})
+    rows = sorted({tuple(primitive(list(a))) for a in A if any(a)})
     found = set()
     for subset in itertools.combinations(rows, k - 1):
         null = il.kernel_basis([list(a) for a in subset] or [[0] * k])
         if len(null) != 1:
             continue
         for d in (null[0], [-x for x in null[0]]):
-            if all(v >= 0 for v in il.mat_vec(A, d)):
-                found.add(tuple(il.primitive(d)))
+            if all(v >= 0 for v in mat_vec(A, d)):
+                found.add(tuple(primitive(d)))
     return sorted(list(r) for r in found)
 
 
 def oracle_images(A):
-    return sorted(tuple(il.primitive(il.mat_vec(A, x))) for x in oracle_rays(A))
+    return sorted(tuple(primitive(mat_vec(A, x))) for x in oracle_rays(A))
 
 
 def hermite_transpose(A):
@@ -54,7 +55,7 @@ def assert_extreme(A, rays):
     columns = il.transpose(A)
     for s in rays:
         assert all(v >= 0 for v in s)
-        assert tuple(il.primitive(s)) == s
+        assert tuple(primitive(s)) == s
         assert il.rank(columns + [s]) == k
         active = [a for a, v in zip(A, s) if v == 0]
         assert il.rank(active or [[0] * k]) == k - 1
@@ -132,7 +133,7 @@ def test_rows_not_yet_inserted_do_not_count_for_adjacency():
         [0, 0, -1, 0, 1],
     ]
     rays = dd.extreme_rays(hermite_transpose(A))
-    assert len(rays) == 14 and tuple(il.mat_vec(A, [1, 0, 0, 2, 1])) in rays
+    assert len(rays) == 14 and tuple(mat_vec(A, [1, 0, 0, 2, 1])) in rays
     assert rays == oracle_images(A)
     assert_extreme(A, rays)
 

@@ -51,7 +51,7 @@ def test_stratum_dims_corpus():
 def test_trivial_graph_stratum_equals_main():
     g = DecoratedDualGraph((), (VertexData("v", 2, "t", frozenset()),), (), ())
     ctx = GeometryContext(3, (), {"t": 5}, {"t": {}})
-    report = expected_dim_stratum(g, ctx, k=4)
+    report = expected_dim_stratum(g, ctx)
     assert report.kernel_dim == 0
     assert report.stratum_dim == report.main_dim
 

@@ -1,8 +1,13 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from logcone import graph as graph_module
 from logcone.corpus import corpus_load
 from logcone.graph import (
     DecoratedDualGraph,
@@ -187,6 +192,29 @@ def test_partial_order_parallel_edge_conflict():
     result = smooth_divisor_partial_order(g)
     assert not result.ok
     assert result.failure[0] == "inconsistent-parallel-edges"
+
+
+CYCLE_PROBE = """
+from logcone.graph import DecoratedDualGraph, EdgeData, VertexData, smooth_divisor_partial_order
+one = frozenset({"1"})
+vertices = tuple(VertexData(f"v{i}", 0, "t", one) for i in range(8))
+edges = [EdgeData(f"e{i}", f"v{i}", f"v{(i + 1) % 8}", one, (1,)) for i in range(8)]
+edges.append(EdgeData("e8", "v0", "v4", one, (1,)))
+print(smooth_divisor_partial_order(DecoratedDualGraph(("1",), vertices, tuple(edges), ())).failure)
+"""
+
+
+def test_partial_order_cycle_certificate_ignores_hash_seed():
+    # an 8-cycle with a chord has two cycles; the walk must not pick its
+    # start or its next step in set order, which the hash seed changes
+    src = Path(graph_module.__file__).resolve().parents[1]
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        result = subprocess.run([sys.executable, "-c", CYCLE_PROBE], cwd=src, env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs == ["('cycle', 'v0', 'v7', 'v6', 'v5', 'v4', 'v0')\n"] * 2
 
 
 def test_partial_order_requires_single_divisor():

@@ -121,10 +121,23 @@ def test_loader_errors_on_keys_json_cannot_produce():
         graph_from_dict(graph)
     assert str(info.value) == "/edges/0/contact/<int of 16610 bits>: 'x' is not of type 'integer'"
     graph["edges"][0]["contact"][huge] = 1
-    with pytest.raises(FormatError, match=r"^contact map uses unknown divisor labels \[<int of 16610 bits>\]$"):
+    with pytest.raises(FormatError, match=r"^/edges/0/contact: contact map uses unknown divisor labels \[<int of 16610 bits>\]$"):
         graph_from_dict(graph)
     with pytest.raises(FormatError, match=r"^/eta/<int of 16610 bits>: the graph has no edge <int of 16610 bits>$"):
         eta_from_dict({"schema": "logcone/1", "eta": {huge: {}}}, ETA_GRAPH)
+
+
+def test_unknown_contact_labels_name_their_map():
+    graph = load_doc("toricex.json")
+    graph["legs"][5]["contact"]["9"] = 1
+    with pytest.raises(FormatError) as info:
+        graph_from_dict(graph)
+    assert str(info.value) == "/legs/5/contact: contact map uses unknown divisor labels ['9']"
+    graph = load_doc("toricex.json")
+    graph["edges"][1]["contact_rev"] = {"1": 2, "2": -2, "a/b": 1, "0": 3}
+    with pytest.raises(FormatError) as info:
+        graph_from_dict(graph)
+    assert str(info.value) == "/edges/1/contact_rev: contact map uses unknown divisor labels ['0', 'a/b']"
 
 
 COMMANDS = [

@@ -1,13 +1,17 @@
+import dataclasses
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from logcone import report, tropical
+from logcone.cli import main
 from logcone.cone import sigma_cone
 from logcone.corpus import corpus_list, corpus_load
-from logcone.graph import StructuralError
+from logcone.graph import StructuralError, validate_graph
 from logcone.lattice import LatticeSummary, lattice_summary
+from logcone.serialize import graph_to_dict
 from logcone.tropical import (
     InfeasibilityCertificate,
     TropicalWitness,
@@ -27,6 +31,32 @@ from helpers import (
     random_reorientation,
     random_witness_graph,
 )
+
+
+def toricex_with_e1(depth, contact):
+    g = corpus_load("toricex").graph
+    e1, e2 = g.edges
+    return dataclasses.replace(g, edges=(dataclasses.replace(e1, depth=frozenset(depth), contact=contact), e2))
+
+
+def test_tropical_decides_axiom_violating_graphs_over_every_label(tmp_path, capsys):
+    # the solve skips the axiom check: an edge's equalities cover every
+    # divisor label, its depth set's or not
+    g = toricex_with_e1({"1"}, (-2, 0))
+    assert [v.code for v in validate_graph(g).violations] == ["edge-depth"]
+    witness, cert = decide(g)
+    assert witness is None
+    assert cert.multipliers == {("e1", "2"): 1, ("e2", "2"): -1}
+    assert verify_certificate(g, cert) == (True, [])
+    # so ``logcone tropical`` exits 2 on infeasibility alone: an
+    # axiom-violating graph that is feasible exits 0
+    for graph, code in ((g, 2), (toricex_with_e1({"1"}, (-2, 2)), 0)):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graph_to_dict(graph)))
+        assert main(["tropical", str(path), "--json"]) == code
+        assert json.loads(capsys.readouterr().out)["feasible"] == (code == 0)
+        assert main(["validate", str(path)]) == 2
+        capsys.readouterr()
 
 
 def test_ex32_infeasible_with_certificate():
