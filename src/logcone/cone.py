@@ -126,9 +126,11 @@ def gluing_equations(graph: DecoratedDualGraph) -> BinomialSystem:
         m = row if s >= 0 else tuple([-x for x in row])
         # a row's one edge entry is its contact entry, and edge columns lead
         key = m if s else _canonical_sign(m)
-        if key not in seen and (s or any(key)):
+        if s or any(key):
+            # seen holds exactly the kept keys, so it grows only on a new key
             seen.add(key)
-            exponents.append(m)
+            if len(seen) > len(exponents):
+                exponents.append(m)
     return BinomialSystem(summary.domain, tuple(exponents))
 
 
@@ -162,8 +164,8 @@ def eliminate_unit_entries(
     labels = system.basis.labels
     candidates = [j for j, lab in enumerate(labels) if lab[0] in kinds]
     dead = set()  # pivot columns: 0 in every remaining vector, dropped at the end
-    # vectors before the pivot had no unit entry and only a changed one can
-    # gain one, so the scan resumes at the first changed vector or the pivot
+    # only vectors nonzero at the unit column change, and only a changed one
+    # can gain a unit entry, so the scan resumes at the first of them or the pivot
     vi = 0
     while vi < len(vectors):
         vec = vectors[vi]
@@ -176,15 +178,15 @@ def eliminate_unit_entries(
             continue
         del vectors[vi]
         dead.add(unit)
-        support = [(j, x) for j, x in enumerate(vec) if x]
-        resume = vi
-        for wi, w in enumerate(vectors):
-            if w[unit]:
+        hit = [wi for wi, w in enumerate(vectors) if w[unit]]
+        if hit:
+            support = [(j, x) for j, x in enumerate(vec) if x]
+            for wi in hit:
+                w = vectors[wi]
                 f = w[unit] * sign
                 for j, x in support:
                     w[j] -= f * x
-                resume = min(resume, wi)
-        vi = resume
+            vi = min(vi, hit[0])
     keep = [j for j in range(len(labels)) if j not in dead]
     # itemgetter needs an index, and of one index it returns no tuple
     pick = itemgetter(*keep) if len(keep) > 1 else lambda v: tuple([v[j] for j in keep])

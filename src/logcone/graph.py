@@ -493,8 +493,7 @@ def enumerate_edge_decorations(
             other = e.v2 if e.v1 == leaf else e.v1
             live[leaf] -= 1
             live[other] -= 1
-        # final consistency at the last vertex
-        root = next(vid for vid, d in live.items() if d == 0)
+        # final consistency: every vertex's residual is zero
         for v in graph.vertices:
             if any(residual(v.id, assigned)):
                 return []

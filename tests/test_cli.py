@@ -118,6 +118,34 @@ def test_context_with_other_divisors_is_structural_error(corpus_dir, tmp_path, c
     assert err == "error: context divisors ['1'] differ from graph divisors ['1', '2']\n"
 
 
+def test_unknown_corpus_name_prints_the_bare_message(capsys):
+    code, out, err = run(capsys, "corpus", "nosuch", "--json")
+    assert code == 1
+    assert out == ""
+    assert err == "error: no corpus entry named 'nosuch'\n"
+
+
+@pytest.mark.parametrize("command", ["dims", "report"])
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("c1", "no c1 pairing for degree tag 'ghost'"),
+        ("pairing", "no divisor pairing for degree tag 'ghost' against '1'"),
+    ],
+)
+def test_context_missing_a_degree_tag_prints_the_bare_message(
+    corpus_dir, tmp_path, capsys, command, entry, message
+):
+    ctx = json.loads((corpus_dir / "2lines-case1.ctx.json").read_text())
+    del ctx[entry]["ghost"]
+    path = tmp_path / "partial.ctx.json"
+    path.write_text(json.dumps(ctx))
+    code, out, err = run(capsys, command, str(corpus_dir / "2lines-case1.json"), "--ctx", str(path), "--json")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_text_flag_is_gone(corpus_dir, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["genus", str(corpus_dir / "toricex.json"), "--text"])

@@ -203,7 +203,26 @@ def workload_graphs():
 
 
 def test_gluing_equations_match_the_edge_by_edge_reference():
-    graphs = cone_graphs(61) + workload_graphs()
+    # a loop with contact +2 and -2: its two rows are one exponent up to sign
+    loop = graph_from_dict(
+        {
+            "schema": "logcone/1",
+            "divisors": ["1", "2"],
+            "vertices": [
+                {"id": "v1", "genus": 0, "degree": "a", "depth": ["1", "2"]},
+                {"id": "v2", "genus": 0, "degree": "b", "depth": ["1"]},
+            ],
+            "edges": [
+                {"id": "e1", "from": "v1", "to": "v2", "depth": ["1"], "contact": {"1": 1}},
+                {"id": "e2", "from": "v1", "to": "v1", "depth": ["1", "2"], "contact": {"1": 2, "2": -2}},
+            ],
+            "legs": [],
+        }
+    )
+    system = gluing_equations(loop)
+    assert system.basis.labels[1] == ("edge", "e2")
+    assert [m for m in system.exponents if m[1]] == [(0, 2, 0, 0, 0)]
+    graphs = cone_graphs(61) + workload_graphs() + [loop]
     assert len(graphs) > 700
     for g in graphs:
         assert gluing_equations(g) == reference_gluing_equations(g)
