@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .cone import DEFAULT_TOL, gluing_equations, obstruction_test, sigma_cone, toric_ideal_generators
-from .corpus import corpus_list, corpus_load
+from .corpus import _is_graph_file, corpus_list, corpus_load
 from .dims import expected_dim_stratum
 from .graph import StructuralError, arithmetic_genus, restrict_graph, validate_graph
 from .lattice import component_count, lattice_summary
@@ -220,12 +220,7 @@ def _report_one(path: Path, args) -> dict:
 def _cmd_report(args) -> int:
     target = Path(args.input)
     if target.is_dir():
-        files = sorted(
-            p
-            for p in target.iterdir()
-            if p.name.endswith(".json")
-            and not p.name.endswith((".ctx.json", ".witness.json", ".eta.json"))
-        )
+        files = sorted(p for p in target.iterdir() if _is_graph_file(p))
         data = {name.name: _report_one(name, args) for name in files}
         reports = data.values()
     else:

@@ -31,35 +31,31 @@ def _data_dir():
     return resources.files("logcone.data")
 
 
+def _is_graph_file(item) -> bool:
+    """A regular ``*.json`` file (Path or package resource) that is not a context, witness or eta."""
+    return (
+        item.is_file()
+        and item.name.endswith(".json")
+        and not item.name.endswith((".ctx.json", ".witness.json", ".eta.json"))
+    )
+
+
 def corpus_list() -> list[str]:
-    names = []
-    for item in _data_dir().iterdir():
-        if item.name.endswith(".json") and not item.name.endswith((".ctx.json", ".witness.json")):
-            names.append(item.name[: -len(".json")])
-    return sorted(names)
+    return sorted(item.name[: -len(".json")] for item in _data_dir().iterdir() if _is_graph_file(item))
 
 
 def corpus_load(name: str) -> CorpusEntry:
+    if name not in corpus_list():
+        raise KeyError(f"no corpus entry named {name!r}")
     base = _data_dir()
-    path = base.joinpath(f"{name}.json")
-    try:
-        data = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise KeyError(f"no corpus entry named {name!r}") from None
+    data = json.loads(base.joinpath(f"{name}.json").read_text())
     graph = graph_from_dict(data)
     expected = data.get("expected", {})
 
-    context = None
     ctx_path = base.joinpath(f"{name}.ctx.json")
-    try:
-        context = context_from_dict(json.loads(ctx_path.read_text()))
-    except FileNotFoundError:
-        pass
-
-    witness = None
+    context = context_from_dict(json.loads(ctx_path.read_text())) if ctx_path.is_file() else None
     wfile = expected.get("witness_file")
-    if wfile:
-        witness = witness_from_dict(json.loads(base.joinpath(wfile).read_text()))
+    witness = witness_from_dict(json.loads(base.joinpath(wfile).read_text())) if wfile else None
 
     return CorpusEntry(
         name=name,

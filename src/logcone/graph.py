@@ -102,28 +102,8 @@ class DecoratedDualGraph:
     def divisor_index(self, label: str) -> int:
         return self.divisors.index(label)
 
-    def incident_edges(self, vid: str) -> list[EdgeData]:
-        return [e for e in self.edges if vid in (e.v1, e.v2)]
-
-    def legs_at(self, vid: str) -> list[LegData]:
-        return [l for l in self.legs if l.at == vid]
-
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        seen = {self.vertices[0].id}
-        frontier = [self.vertices[0].id]
-        adj: dict[str, set[str]] = {v.id: set() for v in self.vertices}
-        for e in self.edges:
-            adj[e.v1].add(e.v2)
-            adj[e.v2].add(e.v1)
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == len(self.vertices)
+        return sum(edge is None for edge in _spanning_forest(self).values()) == 1
 
     def reorient(self, edge_ids) -> "DecoratedDualGraph":
         """New graph with the reference orientation of the given edges flipped."""
@@ -434,6 +414,31 @@ def restrict_graph(graph: DecoratedDualGraph, keep) -> DecoratedDualGraph:
     )
 
 
+def _spanning_forest(graph: DecoratedDualGraph) -> dict[str, EdgeData | None]:
+    """Breadth-first spanning forest: vertex id -> the forest edge to its parent.
+
+    Each component is rooted at its first vertex in graph order, which maps
+    to None.  The keys are in walk order, so every vertex comes after its
+    parent.
+    """
+    adjacent: dict[str, list[tuple[EdgeData, str]]] = {v.id: [] for v in graph.vertices}
+    for e in graph.edges:
+        adjacent[e.v1].append((e, e.v2))
+        adjacent[e.v2].append((e, e.v1))
+    parent: dict[str, EdgeData | None] = {}
+    for root in graph.vertices:
+        if root.id in parent:
+            continue
+        parent[root.id] = None
+        queue = [root.id]
+        for vid in queue:  # the queue grows while it is read
+            for e, other in adjacent[vid]:
+                if other not in parent:
+                    parent[other] = e
+                    queue.append(other)
+    return parent
+
+
 def enumerate_edge_decorations(
     graph: DecoratedDualGraph,
     ctx: GeometryContext,
@@ -444,94 +449,63 @@ def enumerate_edge_decorations(
     The stored edge contacts of ``graph`` are ignored; leg contacts, depth
     sets and the degree pairings of ``ctx`` are the inputs.  An assignment
     must satisfy per-vertex degree balance, the support condition, and
-    tropical feasibility.  For trees the balance equations determine at
-    most one candidate (leaf peeling, no bound needed); graphs with cycles
-    are searched exhaustively over |entries| <= bound, which is a
-    completeness caveat since no effective a-priori bound is known.
+    tropical feasibility.  Only the chords (the edges off a spanning
+    forest) are searched; balance then fixes every forest edge.  A tree has
+    no chords and needs no bound; any other graph needs one, and it caps
+    the entries of every edge, a completeness caveat since no effective
+    a-priori bound is known.  A negative bound raises ValueError.  Results
+    are sorted by their edge vectors in graph order.
     """
     from .tropical import tropical_feasibility
 
+    if bound is not None and bound < 0:
+        raise ValueError(f"the coordinate bound must be non-negative, not {bound}")
+    parent = _spanning_forest(graph)
+    forest = {e.id for e in parent.values() if e is not None}
+    chords = [e for e in graph.edges if e.id not in forest]
+    if not chords and len(parent) - len(forest) == 1:
+        bound = None  # a tree: balance alone fixes every edge
+    elif bound is None:
+        raise ValueError("a coordinate bound is required unless the graph is a tree")
+
     labels = graph.divisors
-    n = len(labels)
+    targets = {v.id: [ctx.inter(v.degree, label) for label in labels] for v in graph.vertices}
+    for l in graph.legs:
+        targets[l.at] = [a - b for a, b in zip(targets[l.at], l.contact)]
 
-    def residual(vid: str, assigned: dict[str, tuple[int, ...]]) -> list[int]:
-        v = graph.vertex(vid)
-        res = [ctx.inter(v.degree, label) for label in labels]
-        for l in graph.legs_at(vid):
-            res = [a - b for a, b in zip(res, l.contact)]
-        for e in graph.incident_edges(vid):
-            if e.id in assigned and e.v1 != e.v2:
-                c = assigned[e.id] if e.v1 == vid else tuple(-x for x in assigned[e.id])
-                res = [a - b for a, b in zip(res, c)]
-        return res
+    # balance, support and the bound hold label by label, so each label's
+    # column of edge values is searched alone; only feasibility couples them
+    columns = []
+    for i, label in enumerate(labels):
+        column = []
+        free = [range(-bound, bound + 1) if label in e.depth else (0,) for e in chords]
+        for chord_values in itertools.product(*free):
+            value = dict(zip((e.id for e in chords), chord_values))
+            residual = {vid: target[i] for vid, target in targets.items()}
+            for e, x in zip(chords, chord_values):
+                residual[e.v1] -= x
+                residual[e.v2] += x
+            for vid, e in reversed(parent.items()):  # leaves in, each root after its component
+                if e is None:
+                    if residual[vid]:
+                        break
+                    continue
+                # e carries vid's residual away from vid, to its other end
+                value[e.id] = residual[vid] if e.v1 == vid else -residual[vid]
+                residual[e.v2 if e.v1 == vid else e.v1] += residual[vid]
+            else:
+                values = [value[e.id] for e in graph.edges]
+                if all(
+                    x == 0 or (label in e.depth and (bound is None or abs(x) <= bound))
+                    for e, x in zip(graph.edges, values)
+                ):
+                    column.append(values)
+        columns.append(column)
 
-    def admissible(e: EdgeData, vec: tuple[int, ...]) -> bool:
-        return all(x == 0 for label, x in zip(labels, vec) if label not in e.depth)
-
-    def decorate(assignment: dict[str, tuple[int, ...]]) -> DecoratedDualGraph | None:
-        edges = tuple(replace(e, contact=assignment[e.id], contact_rev=None) for e in graph.edges)
-        g = replace(graph, edges=edges)
-        if tropical_feasibility(g) is None:
-            return None
-        return g
-
-    is_tree = graph.is_connected() and len(graph.edges) == len(graph.vertices) - 1
-    if is_tree:
-        assigned: dict[str, tuple[int, ...]] = {}
-        remaining = {e.id for e in graph.edges}
-        degree = {v.id: len(graph.incident_edges(v.id)) for v in graph.vertices}
-        live = dict(degree)
-        while remaining:
-            leaf = next(vid for vid, d in live.items() if d == 1)
-            e = next(e for e in graph.incident_edges(leaf) if e.id in remaining)
-            vec = residual(leaf, assigned)
-            # store in the reference orientation of e
-            assigned[e.id] = tuple(vec) if e.v1 == leaf else tuple(-x for x in vec)
-            if not admissible(e, assigned[e.id]):
-                return []
-            remaining.discard(e.id)
-            other = e.v2 if e.v1 == leaf else e.v1
-            live[leaf] -= 1
-            live[other] -= 1
-        # final consistency: every vertex's residual is zero
-        for v in graph.vertices:
-            if any(residual(v.id, assigned)):
-                return []
-        g = decorate(assigned)
-        return [assigned] if g is not None else []
-
-    if bound is None:
-        raise ValueError("a coordinate bound is required for graphs with cycles")
-
-    edge_list = list(graph.edges)
-    results = []
-
-    def candidates(e: EdgeData):
-        coords = []
-        for label in labels:
-            coords.append(range(-bound, bound + 1) if label in e.depth else (0,))
-        return itertools.product(*coords)
-
-    def search(k: int, assigned: dict[str, tuple[int, ...]]):
-        if k == len(edge_list):
-            if all(not any(residual(v.id, assigned)) for v in graph.vertices):
-                if decorate(assigned) is not None:
-                    results.append(dict(assigned))
-            return
-        e = edge_list[k]
-        later = {e2.id for e2 in edge_list[k + 1:]}
-        for vec in candidates(e):
-            assigned[e.id] = vec
-            ok = True
-            for vid in (e.v1, e.v2):
-                if any(e2.id in later for e2 in graph.incident_edges(vid)):
-                    continue  # balance not decidable yet at this vertex
-                if any(residual(vid, assigned)):
-                    ok = False
-                    break
-            if ok:
-                search(k + 1, assigned)
-            del assigned[e.id]
-
-    search(0, {})
-    return results
+    found = []
+    for chosen in itertools.product(*columns):
+        vecs = tuple(tuple(column[k] for column in chosen) for k in range(len(graph.edges)))
+        edges = tuple(replace(e, contact=vec, contact_rev=None) for e, vec in zip(graph.edges, vecs))
+        if tropical_feasibility(replace(graph, edges=edges)) is not None:
+            found.append(vecs)
+    return [{e.id: vec for e, vec in zip(graph.edges, vecs)} for vecs in sorted(found)]

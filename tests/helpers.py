@@ -158,12 +158,12 @@ def matching_context(graph: DecoratedDualGraph, rng: random.Random) -> GeometryC
     pairing = {}
     for v in graph.vertices:
         total = [0] * len(graph.divisors)
-        for e in graph.incident_edges(v.id):
-            if e.v1 == e.v2:
-                continue
-            total = [a + b for a, b in zip(total, contact_from(e, v.id))]
-        for l in graph.legs_at(v.id):
-            total = [a + b for a, b in zip(total, l.contact)]
+        for e in graph.edges:
+            if v.id in (e.v1, e.v2) and e.v1 != e.v2:
+                total = [a + b for a, b in zip(total, contact_from(e, v.id))]
+        for l in graph.legs:
+            if l.at == v.id:
+                total = [a + b for a, b in zip(total, l.contact)]
         pairing[v.degree] = dict(zip(graph.divisors, total))
         c1[v.degree] = rng.randint(0, 9)
     return GeometryContext(

@@ -125,6 +125,14 @@ def test_unknown_corpus_name_prints_the_bare_message(capsys):
     assert err == "error: no corpus entry named 'nosuch'\n"
 
 
+@pytest.mark.parametrize("name", ["toricex.ctx", "2lines-case1.witness", "../schemas/graph.schema", "../data/toricex"])
+def test_corpus_names_only_its_entries(capsys, name):
+    # each name reaches a JSON file in the package, but none is an entry
+    code, out, err = run(capsys, "corpus", name, "--json")
+    assert (code, out) == (1, "")
+    assert err == f"error: no corpus entry named {name!r}\n"
+
+
 @pytest.mark.parametrize("command", ["dims", "report"])
 @pytest.mark.parametrize(
     "entry, message",
@@ -485,6 +493,18 @@ def test_report_directory(corpus_dir, capsys):
     assert "toricex.json" in data
     assert "ex32.json" in data
     assert data["ex32.json"]["validation"]["tropical_feasible"] is False
+
+
+def test_report_directory_reads_only_graph_files(corpus_dir, tmp_path, capsys):
+    target = tmp_path / "in"
+    target.mkdir()
+    (target / "toricex.json").write_bytes((corpus_dir / "toricex.json").read_bytes())
+    (target / "toricex.ctx.json").write_bytes((corpus_dir / "toricex.ctx.json").read_bytes())
+    (target / "toricex.eta.json").write_text("not a graph")
+    (target / "nested.json").mkdir()
+    code, out, err = run(capsys, "report", str(target), "--json")
+    assert (code, err) == (0, "")
+    assert list(json.loads(out)) == ["toricex.json"]
 
 
 @pytest.mark.parametrize("name, decoy", [("g1", ".ctx.json"), ("graph.txt", "grap.ctx.json")])

@@ -24,7 +24,8 @@ from logcone.graph import (
 from logcone.serialize import graph_to_dict
 from logcone.tropical import tropical_feasibility
 
-from helpers import matching_context, random_witness_graph
+from helpers import matching_context, random_free_graph, random_witness_graph
+from reference_graph import reference_enumerate_edge_decorations
 
 
 def simple_graph():
@@ -276,6 +277,101 @@ def test_enumerate_cycle_requires_bound():
     entry = corpus_load("toricex")
     with pytest.raises(ValueError):
         enumerate_edge_decorations(entry.graph, entry.context)
+
+
+def test_enumerate_rejects_a_negative_bound():
+    entry = corpus_load("toricex")
+    assert {e.id: e.contact for e in entry.graph.edges} in enumerate_edge_decorations(
+        entry.graph, entry.context, bound=2
+    )
+    with pytest.raises(ValueError, match="non-negative"):
+        enumerate_edge_decorations(entry.graph, entry.context, bound=-1)
+    # a tree needs no bound, but a negative one is still an error
+    tree = simple_graph()
+    with pytest.raises(ValueError, match="non-negative"):
+        enumerate_edge_decorations(tree, matching_context(tree, random.Random(0)), bound=-1)
+
+
+def _disjoint_union(g, h):
+    """g beside h, their ids and degree tags prefixed apart."""
+
+    def renamed(graph, p):
+        return dataclasses.replace(
+            graph,
+            vertices=tuple(dataclasses.replace(v, id=p + v.id, degree=p + v.degree) for v in graph.vertices),
+            edges=tuple(dataclasses.replace(e, id=p + e.id, v1=p + e.v1, v2=p + e.v2) for e in graph.edges),
+            legs=tuple(dataclasses.replace(l, id=p + l.id, at=p + l.at) for l in graph.legs),
+        )
+
+    g, h = renamed(g, "a"), renamed(h, "b")
+    return DecoratedDualGraph(g.divisors, g.vertices + h.vertices, g.edges + h.edges, g.legs + h.legs)
+
+
+def _outcome(enumerate_fn, g, ctx, bound):
+    try:
+        return enumerate_fn(g, ctx, bound)
+    except ValueError as exc:
+        return type(exc)
+
+
+def _triangle(n_div):
+    """Vertices at positions 1, 2, 3 on every label, joined in a cycle along
+    which the contacts can shift: two decorations per label at bound 2,
+    which the chord search meets in the other order."""
+    labels = tuple(str(k + 1) for k in range(n_div))
+    depth = frozenset(labels)
+    return DecoratedDualGraph(
+        labels,
+        tuple(VertexData(vid, 0, f"deg{vid}", depth) for vid in "abc"),
+        (
+            EdgeData("e0", "b", "a", depth, (-1,) * n_div),
+            EdgeData("e1", "b", "c", depth, (1,) * n_div),
+            EdgeData("e2", "a", "c", depth, (2,) * n_div),
+        ),
+        (),
+    )
+
+
+def _decoration_cases():
+    """Seeded helper graphs and disjoint unions, with contexts that balance
+    their stored contacts (every fourth one thrown off), then two triangles."""
+    rng = random.Random(27)
+    for i in range(90):
+        n_div = 1 + i % 2
+        if i % 3 == 0:
+            g = random_witness_graph(rng, 4, 4, n_div)
+        elif i % 3 == 1:
+            g = random_free_graph(rng, 4, 4, n_divisors=n_div)
+        else:
+            g = random_witness_graph(rng, 3, 3, n_div)
+            g = _disjoint_union(g, random_free_graph(rng, 3, 3, n_divisors=len(g.divisors)))
+            assert not g.is_connected()
+        ctx = matching_context(g, rng)
+        if i % 4 == 3:  # a context no decoration balances
+            tag = g.vertices[0].degree
+            pairing = dict(ctx.divisor_pairing, **{tag: {k: x + 1 for k, x in ctx.divisor_pairing[tag].items()}})
+            ctx = dataclasses.replace(ctx, divisor_pairing=pairing)
+        yield g, ctx
+    for n_div in (1, 2):
+        g = _triangle(n_div)
+        yield g, matching_context(g, rng)
+
+
+def test_enumerate_matches_the_two_path_reference():
+    kinds = set()
+    for i, (g, ctx) in enumerate(_decoration_cases()):
+        ends = [frozenset((e.v1, e.v2)) for e in g.edges]
+        kinds |= {
+            "tree" if g.is_connected() and len(g.edges) == len(g.vertices) - 1 else "cyclic",
+            "connected" if g.is_connected() else "disconnected",
+        }
+        kinds |= {"loop" for e in g.edges if e.v1 == e.v2} | {"parallel" for k in ends if ends.count(k) > 1}
+        for bound in (None, 0, 1, 2):
+            want = _outcome(reference_enumerate_edge_decorations, g, ctx, bound)
+            assert _outcome(enumerate_edge_decorations, g, ctx, bound) == want, (i, bound)
+            if isinstance(want, list):
+                kinds.add(("none", "one", "several")[min(len(want), 2)])
+    assert kinds == {"tree", "cyclic", "connected", "disconnected", "loop", "parallel", "none", "one", "several"}
 
 
 def test_random_witness_graphs_are_valid_and_feasible():
