@@ -34,22 +34,121 @@ class ConeDescription:
     is_top_dimensional_in_kernel: bool
 
 
+def _one_divisor_rays(graph: DecoratedDualGraph, domain: IndexedBasis) -> list[tuple[int, ...]]:
+    """Extreme rays of the gluing cone of a one-divisor graph, unsorted.
+
+    A row of rho is c·λ_e + t_a − t_b, with t_a (t_b) absent when the tail
+    (head) is outside the depth or e is a loop.  An edge with no row of
+    nonzero contact is free, and gives the unit ray of λ_e.  On the rest
+    the cone is an order cone in t (Stanley 1986): t >= 0, an arc
+    t_lo <= t_hi per nonzero contact, directed by its sign, with
+    λ_e = (t_hi − t_lo) / |c|, and t_a = t_b per zero contact; an absent t
+    is the node "0", t = 0, and so is every node below it.  Its extreme rays
+    are the connected up-sets U: t = 1 on U, scaled by the lcm L of the
+    |c| of the arcs entering U, which leaves every ray primitive (the gcd
+    of the L/|c| is 1).  They are found from the principal up-sets by
+    adding ↑w for each w with an arc into U, an output-sensitive search in
+    the spirit of reverse search (Avis & Fukuda 1996).  It reaches every
+    connected up-set U: a connected up-set V ⊊ U has an arc into it from
+    some w in U − V, and V ∪ ↑w stays in U.
+    """
+    (label,) = graph.divisors
+    edges = sorted(graph.edges, key=lambda e: e.id)  # the domain's edge order
+    n_edges = len(edges)
+    node = {lab[1]: i for i, lab in enumerate(domain.labels[n_edges:])}
+    zero = len(node)  # the node t = 0
+    n = zero + 1
+    # node i's int packs four bitmasks, once closed: from bit 0 the nodes
+    # above it, from bit n the edges of the arcs into them, from n + |E|
+    # those of the arcs out of them, from n + 2|E| the nodes with an arc
+    # into them
+    into, out, below = n, n + n_edges, n + 2 * n_edges
+    links = [1 << i for i in range(n)]
+    steps = []  # (lo, hi): t_lo <= t_hi, so all above hi is above lo
+    free = heavy = 0  # edge columns: free, and arcs with |c| > 1
+    size = [abs(e.contact[0]) for e in edges]
+    for j, e in enumerate(edges):
+        c = e.contact[0] if label in e.depth else 0
+        if not c:
+            free |= 1 << j
+        if e.v1 == e.v2 or label not in e.depth:
+            continue  # a loop's row has no t, so a nonzero contact forces λ_e = 0
+        a, b = node.get(e.v1, zero), node.get(e.v2, zero)
+        if not c:
+            steps += (a, b), (b, a)
+            continue
+        lo, hi = (a, b) if c > 0 else (b, a)
+        steps.append((lo, hi))
+        links[lo] |= 1 << out + j
+        links[hi] |= 1 << into + j | 1 << below + lo
+        heavy |= (size[j] > 1) << j
+    changed = True
+    while changed:  # pass each node's masks down the steps until they are closed
+        changed = False
+        for lo, hi in steps:
+            merged = links[lo] | links[hi]
+            if merged != links[lo]:
+                links[lo] = merged
+                changed = True
+    ones, width = bytes.maketrans(b"01", b"\0\1"), f"0{len(domain)}b"
+
+    def vector(mask: int) -> bytes:
+        """The 0/1 vector of a mask of domain columns, from its binary digits."""
+        return format(mask, width)[::-1].encode().translate(ones)
+
+    rays = [tuple(vector(1 << j)) for j in range(n_edges) if free >> j & 1]
+    allowed = sum(1 << i for i, ci in enumerate(links) if not ci >> zero & 1)
+    seen = {links[v] for v in range(zero) if allowed >> v & 1}
+    stack = list(seen)
+    edge_bits, node_bits = (1 << n_edges) - 1, (1 << zero) - 1
+    while stack:
+        s = stack.pop()
+        cut = (s >> into) & ~(s >> out) & edge_bits
+        unit = vector(cut | (s & node_bits) << n_edges)
+        if not cut & heavy:
+            rays.append(tuple(unit))
+        else:  # scale by the lcm L of the arcs' |c|, then λ_e = L / |c|
+            cols = []
+            while cut:
+                low = cut & -cut
+                cut ^= low
+                cols.append(low.bit_length() - 1)
+            scale = math.lcm(*[size[j] for j in cols])
+            ray = [scale * x for x in unit]
+            for j in cols:
+                ray[j] //= size[j]
+            rays.append(tuple(ray))
+        frontier = (s >> below) & allowed & ~s
+        while frontier:
+            w = frontier & -frontier
+            frontier ^= w
+            t = s | links[w.bit_length() - 1]
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return rays
+
+
 def sigma_cone(graph: DecoratedDualGraph) -> ConeDescription:
     """Extreme rays of kernel ∩ non-negative orthant, in domain coordinates.
 
-    The kernel is parametrized by its Hermite basis K, and each ambient
-    coordinate pulls back to a halfspace, a row of K^T; the double
-    description returns each ray as its image under K^T, which is the ray
-    in the domain.  Rays are primitive, lex-sorted.  The constraint matrix
-    has trivial nullspace (the kernel basis has full rank), so the cone has
-    no lineality and is always strictly convex.  A zero kernel gives no
-    halfspaces and no rays, and its cone is top-dimensional in it.
+    A one-divisor graph's rays are listed directly by
+    :func:`_one_divisor_rays`.  Otherwise the kernel is parametrized by its
+    Hermite basis K, and each ambient coordinate pulls back to a halfspace,
+    a row of K^T; the double description returns each ray as its image
+    under K^T, which is the ray in the domain.  Rays are primitive,
+    lex-sorted.  The cone lies in the orthant, so it has no lineality and
+    is always strictly convex.  A zero kernel gives no rays, and its cone
+    is top-dimensional in it.
     """
     summary = lattice_summary(graph)
     kernel = summary.kernel_basis
     # halfspace j: (sum_i x_i * kernel[i][j]) >= 0
     halfspaces = list(zip(*kernel))
-    rays = extreme_rays(halfspaces)
+    if len(graph.divisors) == 1:
+        rays = sorted(_one_divisor_rays(graph, summary.domain))
+    else:
+        rays = extreme_rays(halfspaces)
     # a pointed cone is the hull of its rays, so the sum of the rays (which
     # are nonnegative and in the kernel) is a relative interior point; it is
     # interior in the kernel exactly when it is nonzero where the kernel is

@@ -8,18 +8,18 @@ and no lineality handling is needed.  Every ray is kept as its image s
 only, so the rays come out in the coordinates of R^m.
 
 Incremental double description over the integers (Motzkin et al. 1953;
-Fukuda & Prodon 1996).  Equal rows of A are one halfspace, so the method
-runs on the distinct rows and each ray's entries are copied back to the
-repeated ones.  The rows at the basis's pivot columns bound a simplicial
-cone whose rays' images come from the basis rows by back-substitution:
-each row, bottom first, has its entries at the later pivots cleared with
-the rays already found.  The remaining halfspaces are then inserted one at
-a time, combining adjacent positive and negative rays; each ray's zero set
-on the processed rows is derived from its parents, never scanned.  Output
-rays are primitive and sorted, hence deterministic.  The cone depends only
-on the column space of A, so any other full-column-rank system can be
-passed as ``transpose(hermite_row_basis(transpose(A)))`` and gives the
-same rays.
+Fukuda & Prodon 1996) for the multi-divisor gluing cones.  Equal rows of
+A are one halfspace: the method runs on the distinct rows and copies
+each ray's entries to the repeats.  The rows at the basis's pivot
+columns bound a simplicial cone whose rays' images come from the basis
+rows by back-substitution: each row, bottom first, has its entries at
+the later pivots cleared with the rays already found.  The remaining
+halfspaces are then inserted one at a time, combining adjacent positive
+and negative rays; each ray's zero set on the processed rows is derived
+from its parents, never scanned.  Output rays are primitive and sorted,
+hence deterministic.  The cone depends only on the column space of A, so
+any other full-column-rank system can be passed as
+``transpose(hermite_row_basis(transpose(A)))`` and gives the same rays.
 """
 
 from __future__ import annotations

@@ -450,7 +450,8 @@ def enumerate_edge_decorations(
     sets and the degree pairings of ``ctx`` are the inputs.  An assignment
     must satisfy per-vertex degree balance, the support condition, and
     tropical feasibility.  Only the chords (the edges off a spanning
-    forest) are searched; balance then fixes every forest edge.  A tree has
+    forest) are searched, a loop only at 0, the one contact a witness
+    realizes on it; balance then fixes every forest edge.  A tree has
     no chords and needs no bound; any other graph needs one, and it caps
     the entries of every edge, a completeness caveat since no effective
     a-priori bound is known.  A negative bound raises ValueError.  Results
@@ -478,7 +479,9 @@ def enumerate_edge_decorations(
     columns = []
     for i, label in enumerate(labels):
         column = []
-        free = [range(-bound, bound + 1) if label in e.depth else (0,) for e in chords]
+        # a loop's contact times its positive length is a zero position
+        # difference, so only 0 can be realized
+        free = [range(-bound, bound + 1) if label in e.depth and e.v1 != e.v2 else (0,) for e in chords]
         for chord_values in itertools.product(*free):
             value = dict(zip((e.id for e in chords), chord_values))
             residual = {vid: target[i] for vid, target in targets.items()}

@@ -177,3 +177,16 @@ def matching_context(graph: DecoratedDualGraph, rng: random.Random) -> GeometryC
 def random_reorientation(graph: DecoratedDualGraph, rng: random.Random) -> DecoratedDualGraph:
     flips = [e.id for e in graph.edges if rng.random() < 0.5]
     return graph.reorient(flips)
+
+
+def replace_extreme_rays(monkeypatch, replacement) -> None:
+    """Route every call of ``dd.extreme_rays`` to ``replacement``, through
+    each module name bound to it (``cone`` imports it by name)."""
+    from logcone import cone, dd
+
+    for module in (dd, cone):
+        monkeypatch.setattr(module, "extreme_rays", replacement)
+
+
+def no_double_description(*args, **kwargs):
+    raise AssertionError("the double description ran")

@@ -22,7 +22,7 @@ from logcone.serialize import (
 )
 from logcone.tropical import InfeasibilityCertificate, verify_certificate
 
-from helpers import random_witness_graph
+from helpers import no_double_description, random_witness_graph, replace_extreme_rays
 
 
 @pytest.fixture
@@ -484,6 +484,29 @@ def test_report_bytes_are_frozen(corpus_dir, capsys):
         code, out, _ = run(capsys, "report", str(corpus_dir / f"{name}.json"), "--json")
         assert code in (0, 2)
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
+def test_one_divisor_reports_keep_their_bytes_without_the_double_description(corpus_dir, capsys, monkeypatch):
+    replace_extreme_rays(monkeypatch, no_double_description)
+    names = [name for name in corpus_list() if len(corpus_load(name).graph.divisors) == 1]
+    assert names
+    for name in names:
+        code, out, _ = run(capsys, "report", str(corpus_dir / f"{name}.json"), "--json")
+        assert code in (0, 2)
+        assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[name], name
+
+
+def test_multi_divisor_reports_take_the_double_description(corpus_dir, capsys, monkeypatch):
+    from logcone import dd
+
+    calls = []
+    extreme_rays = dd.extreme_rays
+    replace_extreme_rays(monkeypatch, lambda halfspaces: calls.append(halfspaces) or extreme_rays(halfspaces))
+    assert len(corpus_load("toricex").graph.divisors) == 2
+    code, out, _ = run(capsys, "report", str(corpus_dir / "toricex.json"), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256["toricex"]
+    assert len(calls) == 1
 
 
 def test_report_directory(corpus_dir, capsys):

@@ -21,11 +21,19 @@ from logcone.cone import (
     toric_ideal_generators,
 )
 from logcone.corpus import corpus_list, corpus_load
+from logcone.graph import DecoratedDualGraph, EdgeData, VertexData
 from logcone.lattice import IndexedBasis, build_rho, component_count, domain_basis, lattice_summary
 from logcone.serialize import graph_from_dict
 from logcone.tropical import tropical_feasibility
 
-from helpers import random_free_graph, random_layered_graph, random_reorientation, random_witness_graph
+from helpers import (
+    no_double_description,
+    random_free_graph,
+    random_layered_graph,
+    random_reorientation,
+    random_witness_graph,
+    replace_extreme_rays,
+)
 from reference_intlinalg import det, lattice_index, mat_vec, primitive, solve_rational
 
 
@@ -107,6 +115,58 @@ def test_ray_canonical_order_invariant_under_reorientation():
     for _ in range(25):
         g = random_witness_graph(rng, legs=False)
         assert sigma_cone(g).extreme_rays == sigma_cone(random_reorientation(g, rng)).extreme_rays
+
+
+def random_unchecked_graph(rng):
+    """One-divisor graph that ignores the axioms: loops, zero and negative
+    contacts, edges and vertices of depth {} anywhere, cycles of contacts,
+    and possibly disconnected."""
+    n = rng.randint(1, 7)
+    depth = [frozenset("1") if rng.random() < 0.7 else frozenset() for _ in range(n)]
+    edges = [
+        EdgeData(
+            f"e{k}",
+            f"v{rng.randrange(n)}",
+            f"v{rng.randrange(n)}",
+            frozenset("1") if rng.random() < 0.8 else frozenset(),
+            (rng.randint(-3, 3),),
+        )
+        for k in range(rng.randint(0, 10))
+    ]
+    vertices = tuple(VertexData(f"v{i}", 0, "t", d) for i, d in enumerate(depth))
+    return DecoratedDualGraph(("1",), vertices, tuple(edges), ())
+
+
+def test_one_divisor_rays_match_the_double_description(monkeypatch):
+    rng = random.Random(103)
+    graphs = []
+    for _ in range(120):
+        for g in (
+            random_witness_graph(rng, max_divisors=1),
+            random_free_graph(rng),
+            random_layered_graph(rng, max_divisors=1),
+            random_unchecked_graph(rng),
+            random_unchecked_graph(rng),
+        ):
+            graphs += [g, random_reorientation(g, rng)]
+    extreme_rays = dd.extreme_rays
+    replace_extreme_rays(monkeypatch, no_double_description)
+    kinds = set()
+    for g in graphs:
+        assert g.divisors == ("1",)
+        halfspaces = list(zip(*lattice_summary(g).kernel_basis))
+        cone = sigma_cone(g)
+        assert cone.extreme_rays == tuple(extreme_rays(halfspaces))
+        kinds |= {"loop" for e in g.edges if e.v1 == e.v2}
+        kinds |= {"zero" for e in g.edges if e.depth and e.contact == (0,)}
+        kinds |= {"negative" for e in g.edges if e.depth and e.contact[0] < 0}
+        kinds |= {"bare edge" for e in g.edges if not e.depth}
+        kinds |= {"bare vertex" for v in g.vertices if not v.depth}
+        kinds.add("feasible" if tropical_feasibility(g) else "infeasible")
+        kinds.add("non-simplicial" if len(cone.extreme_rays) > cone.kernel_dim else "simplicial")
+    assert kinds == {
+        "loop", "zero", "negative", "bare edge", "bare vertex", "feasible", "infeasible", "non-simplicial", "simplicial"
+    }
 
 
 def test_gluing_toricex():

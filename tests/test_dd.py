@@ -12,9 +12,12 @@ spans the same column space, and compared with the oracle's images.
 import hashlib
 import itertools
 import json
+import math
 import random
 import sys
 from pathlib import Path
+
+import pytest
 
 from logcone import dd
 from logcone import intlinalg as il
@@ -22,7 +25,7 @@ from logcone.cone import sigma_cone
 from logcone.lattice import lattice_summary
 from logcone.serialize import graph_from_dict
 
-from helpers import random_layered_graph
+from helpers import no_double_description, random_layered_graph, replace_extreme_rays
 from reference_intlinalg import mat_vec, primitive
 
 
@@ -170,17 +173,40 @@ def test_equal_and_zero_halfspaces_are_solved_once():
         checked += 1
 
 
-def test_large_diamond_cone_is_pinned():
-    # the benchmark's diamond generator at 6 layers of width 8: 2,640 rays
-    # over a 48-dimensional kernel, far past the oracle's reach
+def diamond(seed, widths):
+    """The benchmark's layered diamond over one divisor."""
     perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
     sys.path.insert(0, perfbench)
     try:
         import gen
     finally:
         sys.path.remove(perfbench)
-    cone = sigma_cone(graph_from_dict(gen.diamond_graph(random.Random(0), [8] * 6)))
+    return graph_from_dict(gen.diamond_graph(random.Random(seed), widths))
+
+
+def test_large_diamond_cone_is_pinned():
+    # the diamond at 6 layers of width 8: 2,640 rays over a 48-dimensional
+    # kernel, far past the oracle's reach, the same from sigma_cone's
+    # one-divisor route and from the double description
+    g = diamond(0, [8] * 6)
+    cone = sigma_cone(g)
     assert cone.kernel_dim == 48
     assert len(cone.extreme_rays) == 2640
-    digest = hashlib.sha256(json.dumps(sorted(cone.extreme_rays)).encode()).hexdigest()
-    assert digest == "17da0d33249047c3bcc1df35486054c1197016dbd9252956cc3e10b0b472bb78"
+    want = "17da0d33249047c3bcc1df35486054c1197016dbd9252956cc3e10b0b472bb78"
+    for rays in (cone.extreme_rays, dd.extreme_rays(halfspaces(g))):
+        assert hashlib.sha256(json.dumps(sorted(rays)).encode()).hexdigest() == want
+
+
+@pytest.mark.parametrize("widths, count", [([6] * 8, 5926), ([8] * 6, 11368)])
+def test_diamonds_past_the_double_description_have_their_counted_rays(monkeypatch, widths, count):
+    # 5,926 is the double description's own count, after 16.5 s; 11,368,
+    # where it does not finish in 120 s, is a separate backtracking count
+    # of the connected up-sets
+    replace_extreme_rays(monkeypatch, no_double_description)
+    g = diamond(1, widths)
+    rays = sigma_cone(g).extreme_rays
+    assert len(set(rays)) == len(rays) == count
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in lattice_summary(g).rho]
+    for ray in rays:
+        assert min(ray) >= 0 and math.gcd(*ray) == 1
+        assert all(sum(x * ray[j] for j, x in row) == 0 for row in rows)

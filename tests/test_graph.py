@@ -374,6 +374,29 @@ def test_enumerate_matches_the_two_path_reference():
     assert kinds == {"tree", "cyclic", "connected", "disconnected", "loop", "parallel", "none", "one", "several"}
 
 
+def test_loop_chords_are_searched_only_at_zero(monkeypatch):
+    # a witness realizes no nonzero loop contact, so of the 25 x 25 chord
+    # choices at bound 2 only the zero one reaches the tropical LP
+    from logcone import tropical
+    from logcone.graph import GeometryContext
+
+    both = frozenset({"1", "2"})
+    g = DecoratedDualGraph(
+        ("1", "2"),
+        (VertexData("v", 0, "t", both),),
+        (EdgeData("a", "v", "v", both, (0, 0)), EdgeData("b", "v", "v", both, (0, 0))),
+        (),
+    )
+    ctx = GeometryContext(2, ("1", "2"), {"t": 0}, {"t": {"1": 0, "2": 0}})
+    calls = []
+    feasibility = tropical.tropical_feasibility
+    monkeypatch.setattr(tropical, "tropical_feasibility", lambda graph: calls.append(graph) or feasibility(graph))
+    got = enumerate_edge_decorations(g, ctx, 2)
+    assert len(calls) == 1
+    assert got == [{"a": (0, 0), "b": (0, 0)}]
+    assert got == reference_enumerate_edge_decorations(g, ctx, 2)
+
+
 def test_random_witness_graphs_are_valid_and_feasible():
     rng = random.Random(9)
     for _ in range(30):
