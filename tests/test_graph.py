@@ -12,6 +12,7 @@ from logcone.corpus import corpus_load
 from logcone.graph import (
     DecoratedDualGraph,
     EdgeData,
+    GeometryContext,
     LegData,
     StructuralError,
     VertexData,
@@ -378,7 +379,6 @@ def test_loop_chords_are_searched_only_at_zero(monkeypatch):
     # a witness realizes no nonzero loop contact, so of the 25 x 25 chord
     # choices at bound 2 only the zero one reaches the tropical LP
     from logcone import tropical
-    from logcone.graph import GeometryContext
 
     both = frozenset({"1", "2"})
     g = DecoratedDualGraph(
