@@ -245,23 +245,19 @@ def toric_ideal_generators(graph: DecoratedDualGraph) -> BinomialSystem:
     return BinomialSystem(summary.domain, summary.toric_basis)
 
 
-def eliminate_unit_entries(
-    system: BinomialSystem, kinds: tuple[str, ...] = ("vertex",)
-) -> tuple[list[tuple[int, ...]], list]:
-    """Unimodular elimination of variables that appear with exponent +-1.
+def eliminate_unit_entries(system: BinomialSystem) -> tuple[list[tuple[int, ...]], list]:
+    """Unimodular elimination of the pushout variables with exponent +-1.
 
-    Repeatedly pick a basis vector with a +-1 entry in a coordinate whose
-    label kind is in ``kinds``, use it to clear that coordinate from the
-    others, and drop both the vector and the coordinate.  Returns the
-    reduced exponent vectors and the labels of the surviving coordinates.
-    This reduction is exactly the substitution of one variable by a
-    monomial in the others, so it preserves the variety up to a coordinate
-    change.  By default only pushout coordinates t_{v,i} are eliminated,
-    leaving relations among the gluing parameters.
+    Repeatedly pick a basis vector with a +-1 entry in a pushout coordinate
+    t_{v,i}, use it to clear that coordinate from the others, and drop both
+    the vector and the coordinate.  Returns the reduced exponent vectors and
+    the labels of the surviving coordinates, leaving relations among the
+    gluing parameters.  Each step substitutes a monomial in the others for
+    one variable, so it preserves the variety up to a coordinate change.
     """
     vectors = [list(m) for m in system.exponents]
     labels = system.basis.labels
-    candidates = [j for j, lab in enumerate(labels) if lab[0] in kinds]
+    candidates = [j for j, lab in enumerate(labels) if lab[0] == "vertex"]
     dead = set()  # pivot columns: 0 in every remaining vector, dropped at the end
     # only vectors nonzero at the unit column change, and only a changed one
     # can gain a unit entry, so the scan resumes at the first of them or the pivot

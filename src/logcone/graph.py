@@ -340,7 +340,6 @@ def smooth_divisor_partial_order(graph: DecoratedDualGraph) -> PartialOrderResul
             return PartialOrderResult(None, ("depth-level-clash", a, b))
 
     # strict edges between classes
-    succ: dict[str, set[str]] = {c: set() for c in classes}
     pred_count: dict[str, set[str]] = {c: set() for c in classes}
     strict_edges = []
     for (a, b), sign in relation.items():
@@ -348,9 +347,7 @@ def smooth_divisor_partial_order(graph: DecoratedDualGraph) -> PartialOrderResul
             continue
         lo, hi = (a, b) if sign > 0 else (b, a)
         strict_edges.append((lo, hi))
-        clo, chi = find(lo), find(hi)
-        succ[clo].add(chi)
-        pred_count[chi].add(clo)
+        pred_count[find(hi)].add(find(lo))
 
     levels: dict[str, int] = {}
     zero_classes = {find(v) for v in depth0}

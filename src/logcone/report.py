@@ -72,18 +72,7 @@ def binomials_to_dict(system) -> dict:
 
 
 def dims_to_dict(report) -> dict:
-    return {
-        "main_dim": report.main_dim,
-        "stratum_dim": report.stratum_dim,
-        "prelog_dim": report.prelog_dim,
-        "kernel_dim": report.kernel_dim,
-        "obstruction_dim": report.obstruction_dim,
-        "codim": report.codim,
-        "genus": report.genus,
-        "marked_points": report.marked_points,
-        "c1_total": report.c1_total,
-        "inter_total": dict(sorted(report.inter_total.items())),
-    }
+    return {**vars(report), "inter_total": dict(sorted(report.inter_total.items()))}
 
 
 def build_report(

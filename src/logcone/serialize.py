@@ -21,7 +21,6 @@ from .graph import (
     EdgeData,
     GeometryContext,
     LegData,
-    StructuralError,
     VertexData,
 )
 from .tropical import InfeasibilityCertificate, TropicalWitness
@@ -160,6 +159,11 @@ def compile_schema(schema):
 
 _GRAPH_CHECK = compile_schema(_GRAPH_SCHEMA)
 _CONTEXT_CHECK = compile_schema(_CONTEXT_SCHEMA)
+# witness and eta files: any top-level key but these is an error
+_WITNESS_KEYS, _ETA_KEYS = (
+    compile_schema({"properties": dict.fromkeys(names, {}), "additionalProperties": False})
+    for names in (("schema", "s", "lambda"), ("schema", "eta"))
+)
 
 
 def _pointer(path) -> str:
@@ -304,6 +308,7 @@ def _witness_rational(value, path) -> Fraction:
 def witness_from_dict(data: dict) -> TropicalWitness:
     if not isinstance(data, dict) or data.get("schema") != SCHEMA_TAG:
         raise FormatError('witness file must be an object with "schema": "logcone/1"')
+    _check(data, _WITNESS_KEYS)
     s = {}
     for vid, row in _witness_object(data.get("s", {}), ("s",)).items():
         for label, value in _witness_object(row, ("s", vid)).items():
@@ -363,6 +368,7 @@ def eta_from_dict(data: dict, graph: DecoratedDualGraph) -> ObstructionInput:
     an entry for any other edge or label is an error, not ignored."""
     if not isinstance(data, dict) or data.get("schema") != SCHEMA_TAG:
         raise FormatError('eta file must be an object with "schema": "logcone/1"')
+    _check(data, _ETA_KEYS)
     if "eta" not in data or not isinstance(data["eta"], dict):
         raise FormatError('eta file must carry an "eta" object keyed by edge id')
     depth = {e.id: e.depth for e in graph.edges}

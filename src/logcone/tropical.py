@@ -3,9 +3,9 @@
 A graph is tropically feasible when there are vertex positions s_v (strictly
 positive exactly on the depth coordinates) and edge lengths lambda_e > 0
 with s_head - s_tail = lambda_e * s_e for every edge.  Those equalities form
-a homogeneous integer system A x = 0 over x = (s on the depth coordinates,
-lambda on the edges with nonzero contact; a zero-contact edge keeps
-lambda = 1), and feasibility is strict feasibility x > 0.  :func:`decide`
+a homogeneous integer system A x = 0 over rho's domain coordinates x = (s on
+the (vertex, label) ones, then lambda on the edges with nonzero contact; a
+zero-contact edge keeps lambda = 1), and feasibility is x > 0.  :func:`decide`
 settles it with one exact phase-1 solve, pivoted in integers without
 rounding (``simplex.positive_kernel_point``), and returns either a witness or,
 by Stiemke's theorem, integer multipliers y on the (edge, label) equalities
@@ -22,6 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .graph import DecoratedDualGraph, StructuralError
+from .lattice import domain_basis
 from .simplex import positive_kernel_point
 
 
@@ -50,34 +51,41 @@ class InfeasibilityCertificate:
 def _equalities(graph: DecoratedDualGraph):
     """Columns and nonzero rows of the edge-equality matrix A.
 
-    Columns are ("s", vertex id, label) for each depth coordinate and
-    ("lambda", edge id) for each edge with nonzero contact; rows are keyed by
-    (edge id, label), in edge-id then divisor order.
+    Columns are rho's domain labels (``lattice.domain_basis``), the (vertex,
+    label) ones and then the edges with nonzero contact; rows are keyed by
+    (edge id, label), in edge-id then divisor order, over every label.
     """
-    columns = [
-        ("s", v.id, label)
-        for v in sorted(graph.vertices, key=lambda v: v.id)
-        for label in sorted(v.depth, key=graph.divisors.index)
-    ]
-    edges = sorted(graph.edges, key=lambda e: e.id)
-    columns += [("lambda", e.id) for e in edges if any(e.contact)]
+    edges = sorted(graph.edges, key=lambda e: e.id)  # the domain's edge order
+    labels = domain_basis(graph).labels
+    columns = [*labels[len(edges):], *(lab for lab, e in zip(labels, edges) if any(e.contact))]
     index = {col: j for j, col in enumerate(columns)}
     keys, rows = [], []
     for e in edges:
-        head = graph.vertex(e.v2)
-        tail = graph.vertex(e.v1)
+        head, tail = graph.vertex(e.v2), graph.vertex(e.v1)
         for label, se in zip(graph.divisors, e.contact):
             row = [0] * len(columns)
             if label in head.depth:
-                row[index[("s", e.v2, label)]] += 1
+                row[index[("vertex", e.v2, label)]] += 1
             if label in tail.depth:
-                row[index[("s", e.v1, label)]] -= 1
+                row[index[("vertex", e.v1, label)]] -= 1
             if se:
-                row[index[("lambda", e.id)]] -= se
+                row[index[("edge", e.id)]] -= se
             if any(row):
                 keys.append((e.id, label))
                 rows.append(row)
     return columns, keys, rows
+
+
+def _witness(values, edges=()) -> TropicalWitness:
+    """The witness of (domain label, value) pairs: edge values are lengths,
+    (vertex, label) values positions, and an unnamed edge of ``edges`` has length 1."""
+    s, lam = {}, dict.fromkeys(edges, Fraction(1))
+    for label, x in values:
+        if label[0] == "edge":
+            lam[label[1]] = Fraction(x)
+        else:
+            s[label[1:]] = Fraction(x)
+    return TropicalWitness(s, lam)
 
 
 def decide(graph: DecoratedDualGraph):
@@ -89,10 +97,7 @@ def decide(graph: DecoratedDualGraph):
     columns, keys, rows = _equalities(graph)
     x, u = positive_kernel_point(rows, len(columns))
     if x is not None:
-        value = dict(zip(columns, x))
-        s = {(col[1], col[2]): v for col, v in value.items() if col[0] == "s"}
-        lam = {e.id: value.get(("lambda", e.id), Fraction(1)) for e in graph.edges}
-        return TropicalWitness(s, lam), None
+        return _witness(zip(columns, x), [e.id for e in graph.edges]), None
     scale = lcm(*(q.denominator for q in u))
     ints = [int(q * scale) for q in u]
     g = gcd(*ints)
@@ -105,23 +110,15 @@ def ray_sum_witness(labels, rays) -> TropicalWitness | None:
     some domain coordinate vanishes on every ray.
 
     ``labels`` are the lattice summary's domain labels and ``rays`` the
-    extreme rays of ker rho ∩ R≥0 in those coordinates.  A (vertex, label)
-    coordinate is the position s[vertex, label] and an edge coordinate the
-    length of that edge, so a point of the cone positive in every coordinate
-    is a witness, and ker rho meets the open orthant exactly when the rays'
-    sum is such a point.  This needs the local axioms of the graph: then
-    rho's rows are the nonzero equalities of :func:`decide`.
+    extreme rays of ker rho ∩ R≥0 in those coordinates.  Under the local
+    axioms the nonzero rows of -rho are the equalities of :func:`decide`, so
+    ker rho meets the open orthant exactly when the rays' sum is positive in
+    every coordinate, and that sum is then a witness.
     """
     total = [sum(column) for column in zip(*rays)] if rays else [0] * len(labels)
     if not all(total):
         return None
-    s, lam = {}, {}
-    for label, x in zip(labels, total):
-        if label[0] == "edge":
-            lam[label[1]] = Fraction(x)
-        else:
-            s[(label[1], label[2])] = Fraction(x)
-    return TropicalWitness(s, lam)
+    return _witness(zip(labels, total))
 
 
 def tropical_feasibility(graph: DecoratedDualGraph) -> TropicalWitness | None:

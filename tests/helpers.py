@@ -12,6 +12,8 @@ family whose parallel paths make the gluing cone often non-simplicial.
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 from logcone.graph import DecoratedDualGraph, EdgeData, GeometryContext, LegData, StructuralError, VertexData
 
@@ -190,3 +192,23 @@ def replace_extreme_rays(monkeypatch, replacement) -> None:
 
 def no_double_description(*args, **kwargs):
     raise AssertionError("the double description ran")
+
+
+def workload_items():
+    """Every input of the benchmark's four workloads at run seed 0, with its
+    graph, and for the library workloads its planted eta, built."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(perfbench)
+    items = [item for workload in workloads.WORKLOADS.values() for item in workload.build(0)]
+    for item in items:
+        workloads.prepare(item)
+    return items
+
+
+def workload_graphs():
+    """Every graph of the benchmark's four workloads at run seed 0."""
+    return [item.graph for item in workload_items()]

@@ -330,6 +330,17 @@ def test_obstruct_command(corpus_dir, tmp_path, capsys):
     assert out.splitlines()[0] == "not identity"
 
 
+def test_obstruct_rejects_a_tolerance_inside_the_eta_file(corpus_dir, tmp_path, capsys):
+    # the tolerance is the --tol option; a "tol" key would be ignored, so it is an error
+    eta = {"schema": "logcone/1", "eta": {"e1": {"1": 1.01, "2": 1}, "e2": {"1": 1, "2": 1}}, "tol": 1e-1}
+    path = tmp_path / "eta.json"
+    path.write_text(dump_json(eta))
+    code, out, err = run(capsys, "obstruct", str(corpus_dir / "toricex.json"), str(path), "--json")
+    assert code == 1
+    assert out == ""
+    assert err == "error: /: Additional properties are not allowed ('tol' was unexpected)\n"
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
 def test_obstruct_rejects_bad_tolerance(corpus_dir, tmp_path, capsys, tol):
     # e1/1 = 1.01 is not the identity at any usable tolerance

@@ -2,7 +2,6 @@ import cmath
 import math
 import random
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -33,6 +32,8 @@ from helpers import (
     random_reorientation,
     random_witness_graph,
     replace_extreme_rays,
+    workload_graphs,
+    workload_items,
 )
 from reference_intlinalg import det, lattice_index, mat_vec, primitive, solve_rational
 
@@ -242,26 +243,6 @@ def reference_gluing_equations(graph):
     return BinomialSystem(dom, tuple(exponents))
 
 
-def workload_items():
-    """Every input of the benchmark's four workloads at run seed 0, with its
-    graph, and for the library workloads its planted eta, built."""
-    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
-    sys.path.insert(0, perfbench)
-    try:
-        import workloads
-    finally:
-        sys.path.remove(perfbench)
-    items = [item for workload in workloads.WORKLOADS.values() for item in workload.build(0)]
-    for item in items:
-        workloads.prepare(item)
-    return items
-
-
-def workload_graphs():
-    """Every graph of the benchmark's four workloads at run seed 0."""
-    return [item.graph for item in workload_items()]
-
-
 def test_gluing_equations_match_the_edge_by_edge_reference():
     # a loop with contact +2 and -2: its two rows are one exponent up to sign
     loop = graph_from_dict(
@@ -359,7 +340,7 @@ def test_eliminate_unit_entries_d1rd22pt():
     assert all(lab[0] == "edge" for lab in labels)
 
 
-def reference_eliminate_unit_entries(system, kinds=("vertex",)):
+def reference_eliminate_unit_entries(system):
     """The elimination loop that rescans every vector from the first one
     after each pivot: the quadratic version ``eliminate_unit_entries``
     replaced, kept as its reference."""
@@ -370,7 +351,7 @@ def reference_eliminate_unit_entries(system, kinds=("vertex",)):
         changed = False
         for vi, vec in enumerate(vectors):
             unit = next(
-                (j for j, x in enumerate(vec) if abs(x) == 1 and labels[j][0] in kinds),
+                (j for j, x in enumerate(vec) if abs(x) == 1 and labels[j][0] == "vertex"),
                 None,
             )
             if unit is None:
@@ -408,10 +389,9 @@ def test_eliminate_unit_entries_matches_rescanning_loop():
         systems.append(BinomialSystem(IndexedBasis(labels), exponents))
     eliminated = 0
     for system in systems:
-        for kinds in (("vertex",), ("edge",), ("edge", "vertex"), ()):
-            got = eliminate_unit_entries(system, kinds)
-            assert got == reference_eliminate_unit_entries(system, kinds)
-            eliminated += len(system.exponents) - len(got[0])
+        got = eliminate_unit_entries(system)
+        assert got == reference_eliminate_unit_entries(system)
+        eliminated += len(system.exponents) - len(got[0])
     assert eliminated > 1000
 
 
@@ -430,8 +410,7 @@ def test_eliminate_unit_entries_down_to_one_or_no_column():
     assert eliminate_unit_entries(system((a,), [])) == ([], [a])
     assert eliminate_unit_entries(system((), [()])) == ([()], [])
     for s in (one, none):
-        for kinds in (("vertex",), ("edge",), ("edge", "vertex"), ()):
-            assert eliminate_unit_entries(s, kinds) == reference_eliminate_unit_entries(s, kinds)
+        assert eliminate_unit_entries(s) == reference_eliminate_unit_entries(s)
 
 
 def test_obstruction_all_ones_identity():

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from logcone.cli import main
 from logcone.corpus import corpus_load
 from logcone.graph import StructuralError
-from logcone.serialize import FormatError, context_from_dict, eta_from_dict, graph_from_dict
+from logcone.serialize import FormatError, context_from_dict, eta_from_dict, graph_from_dict, witness_from_dict
 
 from test_schema import corpus_docs, json_values, load_doc, mutate, nodes
 
@@ -125,6 +125,32 @@ def test_loader_errors_on_keys_json_cannot_produce():
         graph_from_dict(graph)
     with pytest.raises(FormatError, match=r"^/eta/<int of 16610 bits>: the graph has no edge <int of 16610 bits>$"):
         eta_from_dict({"schema": "logcone/1", "eta": {huge: {}}}, ETA_GRAPH)
+
+
+def test_witness_and_eta_files_reject_unknown_keys():
+    # an unread key such as "tol" is an error in the graph schema's wording,
+    # never silently dropped
+    one = "/: Additional properties are not allowed ('tol' was unexpected)"
+    two = "/: Additional properties are not allowed ('eps', 'tol' were unexpected)"
+    graph = load_doc("toricex.json")
+    graph["tol"] = 1e-3
+    with pytest.raises(FormatError) as info:
+        graph_from_dict(graph)
+    assert str(info.value) == one
+    for name in ("2lines-case1", "2lines-case2", "2lines-case3", "ex32-corrected"):
+        witness = load_doc(f"{name}.witness.json")
+        assert sorted(witness) == ["lambda", "s", "schema"]
+        witness_from_dict(witness)
+        for extra, message in (({"tol": 1e-3}, one), ({"tol": 1e-3, "eps": 0}, two)):
+            with pytest.raises(FormatError) as info:
+                witness_from_dict({**witness, **extra})
+            assert str(info.value) == message
+    eta = {"schema": "logcone/1", "eta": {"e1": {"1": 1, "2": 1}, "e2": {"1": 1, "2": 1}}}
+    eta_from_dict(eta, ETA_GRAPH)
+    for extra, message in (({"tol": 1e-3}, one), ({"tol": 1e-3, "eps": 0}, two)):
+        with pytest.raises(FormatError) as info:
+            eta_from_dict({**eta, **extra}, ETA_GRAPH)
+        assert str(info.value) == message
 
 
 def test_unknown_contact_labels_name_their_map():

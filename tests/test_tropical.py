@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from logcone.cli import main
 from logcone.cone import sigma_cone
 from logcone.corpus import corpus_list, corpus_load
 from logcone.graph import StructuralError, validate_graph
-from logcone.lattice import LatticeSummary, lattice_summary
+from logcone.lattice import LatticeSummary, build_rho, lattice_summary
 from logcone.serialize import graph_to_dict
 from logcone.tropical import (
     InfeasibilityCertificate,
@@ -30,13 +31,62 @@ from helpers import (
     random_layered_graph,
     random_reorientation,
     random_witness_graph,
+    workload_graphs,
 )
+from reference_tropical import decide as reference_decide
 
 
 def toricex_with_e1(depth, contact):
     g = corpus_load("toricex").graph
     e1, e2 = g.edges
     return dataclasses.replace(g, edges=(dataclasses.replace(e1, depth=frozenset(depth), contact=contact), e2))
+
+
+def axiom_valid_graphs():
+    """The corpus, the helper families with reorientations, and every
+    graph of the benchmark's workloads: all of them satisfy the axioms."""
+    rng = random.Random(77)
+    graphs = [corpus_load(name).graph for name in corpus_list()]
+    for _ in range(40):
+        graphs += [random_witness_graph(rng), random_free_graph(rng, n_divisors=rng.randint(1, 3)), random_layered_graph(rng)]
+    graphs += [random_reorientation(g, rng) for g in graphs]
+    return graphs + workload_graphs()
+
+
+def test_equalities_are_the_nonzero_rows_of_minus_rho_on_its_domain():
+    # the solve's columns are rho's domain labels, (vertex, label) first and
+    # then the edges with a nonzero contact; on a graph that satisfies the
+    # axioms its rows are the nonzero rows of -rho, which ray_sum_witness needs
+    for g in axiom_valid_graphs():
+        assert not validate_graph(g).violations
+        dom, tgt, rho = build_rho(g)
+        contact = {e.id: any(e.contact) for e in g.edges}
+        columns, keys, rows = tropical._equalities(g)
+        assert columns == [lab for lab in dom.labels if lab[0] == "vertex"] + [
+            lab for lab in dom.labels if lab[0] == "edge" and contact[lab[1]]
+        ]
+        # a dropped column, an edge of zero contact, is zero in rho
+        dropped = [j for j, lab in enumerate(dom.labels) if lab not in columns]
+        assert not any(row[j] for row in rho for j in dropped)
+        at = [dom.labels.index(col) for col in columns]
+        minus = [([-row[j] for j in at], (eid, label)) for row, (_, eid, label) in zip(rho, tgt.labels)]
+        assert rows == [row for row, _ in minus if any(row)]
+        assert keys == [key for row, key in minus if any(row)]
+
+
+def test_decide_matches_the_solve_over_its_own_labels():
+    graphs = axiom_valid_graphs()
+    # toricex with e1 redecorated: most of these break an axiom, and the
+    # solve still covers every divisor label
+    for depth in ((), ("1",), ("2",), ("1", "2")):
+        graphs += [toricex_with_e1(depth, contact) for contact in itertools.product(range(-2, 3), repeat=2)]
+    assert sum(bool(validate_graph(g).violations) for g in graphs) > 50
+    outcomes = set()
+    for g in graphs:
+        got = decide(g)
+        assert got == reference_decide(g)
+        outcomes.add(got[0] is None)
+    assert outcomes == {True, False}
 
 
 def test_tropical_decides_axiom_violating_graphs_over_every_label(tmp_path, capsys):
