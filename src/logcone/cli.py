@@ -250,7 +250,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    if args.name:
+    if args.name is not None:
         entry = corpus_load(args.name)
         data = {
             "name": entry.name,

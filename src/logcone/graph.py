@@ -280,103 +280,158 @@ def arithmetic_genus(graph: DecoratedDualGraph) -> int:
 @dataclass(frozen=True)
 class PartialOrderResult:
     levels: dict[str, int] | None
-    failure: tuple[str, ...] | None  # (kind, *vertex/edge ids)
+    failure: tuple[str, ...] | None  # (kind, *vertex ids)
+    # on failure, a walk that climbs the order: (edge id, +1 along v1 -> v2
+    # or -1 against); see smooth_divisor_partial_order
+    walk: tuple[tuple[str, int], ...] = ()
 
     @property
     def ok(self) -> bool:
         return self.levels is not None
 
 
+def _forest_path(up, u: str, w: str) -> list[tuple[str, int]]:
+    """Steps of the path from u to w in a forest given as vertex -> (parent,
+    edge id, step sign toward the parent), None at a root."""
+
+    def climb(x):
+        steps = []
+        while up[x] is not None:
+            x, eid, sign = up[x]
+            steps.append((eid, sign))
+        return steps
+
+    a, b = climb(u), climb(w)
+    while a and b and a[-1] == b[-1]:
+        a.pop()
+        b.pop()
+    return a + [(eid, -sign) for eid, sign in reversed(b)]
+
+
 def smooth_divisor_partial_order(graph: DecoratedDualGraph) -> PartialOrderResult:
     """Level function for the single-divisor case, via minimal-vertex peeling.
 
-    Vertices of depth {} sit at level 0; the depth-{1} vertices are peeled
-    off in rounds of minimal elements, each round one level higher.  Fails
-    (with a certificate) when parallel edges disagree in sign, when a
-    depth-{} and a depth-{1} vertex are forced to the same level, or when
-    the strict relation contains a cycle.  Success is equivalent to
-    tropical feasibility.
+    Zero contacts join vertices into classes of equal level; a nonzero
+    contact puts its head above its tail when positive, below when
+    negative.  Classes of depth-{} vertices sit at level 0; the depth-{1}
+    classes are peeled off in rounds of minimal elements, each round one
+    level higher.  Fails when a loop has a nonzero contact or parallel
+    edges disagree in sign (kind "inconsistent-parallel-edges"), when a
+    depth-{} and a depth-{1} vertex are forced to the same level
+    ("depth-level-clash"), when the strict relation contains a cycle
+    ("cycle", naming each class by its first vertex) or when a strict edge
+    ends at level 0 ("order-violation").  Edge depth sets play no part.
+
+    Success is equivalent to tropical feasibility, and this is how
+    :func:`logcone.tropical.decide` settles every one-divisor graph: the
+    levels are the positions.  A failure carries a ``walk`` that uses each
+    edge at most once, never steps down a nonzero contact (sign times
+    contact >= 0), and is closed or ends at a depth-{} vertex: a nonzero-contact loop, two
+    parallel edges there and back, the zero-contact path from the clashing
+    depth-{1} vertex to the depth-{} one, the strict edges of the cycle
+    joined by zero-contact paths inside each class, or the violating edge.
+    Minus the sum of its rows, each oriented along the walk, is a Stiemke
+    certificate.  Everything is built in graph order, never set order.
     """
     if len(graph.divisors) != 1:
         raise ValueError("partial-order levels are only defined for a single divisor")
 
-    # per vertex pair: sign of the relation (0 equal, +1 v<v', -1 v>v')
-    relation: dict[tuple[str, str], int] = {}
+    # per vertex pair a < b: (sign of the relation from a to b, 0 for equal,
+    # the first edge between them, +1 when that edge runs from a to b)
+    relation: dict[tuple[str, str], tuple[int, str, int]] = {}
     for e in graph.edges:
+        c = e.contact[0]
+        sign = (c > 0) - (c < 0)
         if e.v1 == e.v2:
-            if e.contact[0] != 0:
-                return PartialOrderResult(None, ("inconsistent-parallel-edges", e.v1, e.v2))
+            if sign:
+                return PartialOrderResult(None, ("inconsistent-parallel-edges", e.v1, e.v2), ((e.id, sign),))
             continue
-        s = e.contact[0]
-        sign = 0 if s == 0 else (1 if s > 0 else -1)
-        key = (min(e.v1, e.v2), max(e.v1, e.v2))
-        oriented = sign if key == (e.v1, e.v2) else -sign
-        if key in relation and relation[key] != oriented:
-            return PartialOrderResult(None, ("inconsistent-parallel-edges", key[0], key[1]))
-        relation[key] = oriented
+        key, along = ((e.v1, e.v2), 1) if e.v1 < e.v2 else ((e.v2, e.v1), -1)
+        if key not in relation:
+            relation[key] = (sign * along, e.id, along)
+        elif relation[key][0] != sign * along:
+            # climb from a to b along the edge of larger sign, back along the other
+            upper, lower = sorted((relation[key], (sign * along, e.id, along)), reverse=True)
+            walk = ((upper[1], upper[2]), (lower[1], -lower[2]))
+            return PartialOrderResult(None, ("inconsistent-parallel-edges", *key), walk)
 
-    # union equal-level vertices
-    parent = {v.id: v.id for v in graph.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (a, b), sign in relation.items():
-        if sign == 0:
-            parent[find(a)] = find(b)
-
-    depth0 = {v.id for v in graph.vertices if not v.depth}
+    # equal-level classes: a breadth-first forest of the zero relations,
+    # each class rooted at its first vertex in graph order
+    zero: dict[str, list[tuple[str, str, int]]] = {v.id: [] for v in graph.vertices}
+    for (a, b), (sign, eid, along) in relation.items():
+        if not sign:
+            zero[a].append((b, eid, along))
+            zero[b].append((a, eid, -along))
+    up: dict[str, tuple[str, str, int] | None] = {}
     classes: dict[str, list[str]] = {}
     for v in graph.vertices:
-        classes.setdefault(find(v.id), []).append(v.id)
-    for members in classes.values():
-        kinds = {m in depth0 for m in members}
-        if len(kinds) == 2:
-            a = next(m for m in members if m in depth0)
-            b = next(m for m in members if m not in depth0)
-            return PartialOrderResult(None, ("depth-level-clash", a, b))
-
-    # strict edges between classes
-    pred_count: dict[str, set[str]] = {c: set() for c in classes}
-    strict_edges = []
-    for (a, b), sign in relation.items():
-        if sign == 0:
+        if v.id in up:
             continue
-        lo, hi = (a, b) if sign > 0 else (b, a)
-        strict_edges.append((lo, hi))
-        pred_count[find(hi)].add(find(lo))
+        up[v.id] = None
+        members = classes[v.id] = [v.id]
+        for x in members:  # the list grows while it is read
+            for y, eid, along in zero[x]:
+                if y not in up:
+                    up[y] = (x, eid, -along)
+                    members.append(y)
+    class_of = {m: root for root, members in classes.items() for m in members}
+
+    # the first depth-{} and the first depth-{1} vertex of each class
+    first: dict[tuple[str, bool], str] = {}
+    for v in graph.vertices:
+        first.setdefault((class_of[v.id], not v.depth), v.id)
+    for root in classes:
+        if (root, True) in first and (root, False) in first:
+            a, b = first[root, True], first[root, False]
+            return PartialOrderResult(None, ("depth-level-clash", a, b), tuple(_forest_path(up, b, a)))
+
+    # strict edges (lo, hi, edge id, +1 when the edge runs from lo to hi),
+    # and the first of them from each class to each class
+    preds: dict[str, set[str]] = {c: set() for c in classes}
+    strict = []
+    link: dict[tuple[str, str], tuple[str, str, str, int]] = {}
+    for (a, b), (sign, eid, along) in relation.items():
+        if not sign:
+            continue
+        edge = (a, b, eid, along) if sign > 0 else (b, a, eid, -along)
+        strict.append(edge)
+        preds[class_of[edge[1]]].add(class_of[edge[0]])
+        link.setdefault((class_of[edge[0]], class_of[edge[1]]), edge)
 
     levels: dict[str, int] = {}
-    zero_classes = {find(v) for v in depth0}
+    zero_classes = {class_of[v.id] for v in graph.vertices if not v.depth}
     for c in zero_classes:
         levels[c] = 0
     remaining = set(classes) - zero_classes
     level = 1
     while remaining:
-        minimal = {c for c in remaining if not (pred_count[c] & remaining)}
+        minimal = {c for c in remaining if not (preds[c] & remaining)}
         if not minimal:
-            # walk predecessors, first in vertex order, until a class
-            # repeats: cycle witness
+            # walk predecessors, first in class order, until a class repeats
             c = next(x for x in classes if x in remaining)
             seen: list[str] = []
             while c not in seen:
                 seen.append(c)
-                c = next(x for x in classes if x in pred_count[c] and x in remaining)
-            cycle = seen[seen.index(c):] + [c]
-            return PartialOrderResult(None, ("cycle", *(classes[x][0] for x in cycle)))
+                c = next(x for x in classes if x in preds[c] and x in remaining)
+            cycle = seen[seen.index(c):]
+            # climb each strict edge into a class, then inside it to the
+            # tail of the strict edge out of it
+            links = [link[cycle[(i + 1) % len(cycle)], hi] for i, hi in enumerate(cycle)]
+            walk = []
+            for i, (lo, hi, eid, along) in enumerate(links):
+                walk.append((eid, along))
+                walk += _forest_path(up, hi, links[i - 1][0])
+            return PartialOrderResult(None, ("cycle", *cycle, c), tuple(walk))
         for c in minimal:
             levels[c] = level
         remaining -= minimal
         level += 1
 
-    vertex_levels = {v.id: levels[find(v.id)] for v in graph.vertices}
+    vertex_levels = {v.id: levels[class_of[v.id]] for v in graph.vertices}
     # a strict edge into level 0 cannot be realized by any witness
-    for lo, hi in strict_edges:
+    for lo, hi, eid, along in strict:
         if vertex_levels[lo] >= vertex_levels[hi]:
-            return PartialOrderResult(None, ("order-violation", lo, hi))
+            return PartialOrderResult(None, ("order-violation", lo, hi), ((eid, along),))
     return PartialOrderResult(vertex_levels, None)
 
 

@@ -6,13 +6,17 @@ with s_head - s_tail = lambda_e * s_e for every edge.  Those equalities form
 a homogeneous integer system A x = 0 over rho's domain coordinates x = (s on
 the (vertex, label) ones, then lambda on the edges with nonzero contact; a
 zero-contact edge keeps lambda = 1), and feasibility is x > 0.  :func:`decide`
-settles it with one exact phase-1 solve, pivoted in integers without
-rounding (``simplex.positive_kernel_point``), and returns either a witness or,
-by Stiemke's theorem, integer multipliers y on the (edge, label) equalities
-with y^T A >= 0 and y^T A != 0.  Both can be checked independently with
-:func:`verify_witness` and :func:`verify_certificate`.  A caller that has
-the gluing cone's extreme rays can settle feasibility from them instead,
-with :func:`ray_sum_witness`.
+returns either a witness or, by Stiemke's theorem, integer multipliers y on
+the (edge, label) equalities with y^T A >= 0 and y^T A != 0.  A graph with
+one divisor is decided by the paper's partial order
+(``graph.smooth_divisor_partial_order``): its levels are a witness, and each
+failure's walk of edges gives y, since A is then a network matrix (Schrijver
+1986, section 19.3).  A graph with any other number of divisors is decided by
+one exact phase-1 solve, pivoted in integers without rounding
+(``simplex.positive_kernel_point``).  Both answers can be checked
+independently with :func:`verify_witness` and :func:`verify_certificate`.  A
+caller that has the gluing cone's extreme rays can settle feasibility from
+them instead, with :func:`ray_sum_witness`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .graph import DecoratedDualGraph, StructuralError
+from .graph import DecoratedDualGraph, StructuralError, smooth_divisor_partial_order
 from .lattice import domain_basis
 from .simplex import positive_kernel_point
 
@@ -89,11 +93,17 @@ def _witness(values, edges=()) -> TropicalWitness:
 
 
 def decide(graph: DecoratedDualGraph):
-    """Decide tropical feasibility with one exact solve.
+    """Decide tropical feasibility exactly.
 
     Returns ``(witness, None)`` when the graph is feasible and
-    ``(None, certificate)`` when it is not.
+    ``(None, certificate)`` when it is not.  With one divisor the partial
+    order decides: the witness has the levels as positions, lengths
+    (level(head) - level(tail)) / contact and length 1 on zero contacts, and
+    the certificate is minus the failure walk's rows, each oriented along
+    the walk.  Otherwise one exact solve decides.
     """
+    if len(graph.divisors) == 1:
+        return _decide_by_order(graph)
     columns, keys, rows = _equalities(graph)
     x, u = positive_kernel_point(rows, len(columns))
     if x is not None:
@@ -103,6 +113,21 @@ def decide(graph: DecoratedDualGraph):
     g = gcd(*ints)
     multipliers = {key: y // g for key, y in zip(keys, ints) if y}
     return None, InfeasibilityCertificate(multipliers)
+
+
+def _decide_by_order(graph: DecoratedDualGraph):
+    """:func:`decide` on a one-divisor graph, from its partial order."""
+    (label,) = graph.divisors
+    order = smooth_divisor_partial_order(graph)
+    if order.ok:
+        t = order.levels
+        s = {(v.id, label): Fraction(t[v.id]) for v in graph.vertices if v.depth}
+        lam = {
+            e.id: Fraction(t[e.v2] - t[e.v1], e.contact[0]) if e.contact[0] else Fraction(1)
+            for e in graph.edges
+        }
+        return TropicalWitness(s, lam), None
+    return None, InfeasibilityCertificate({(eid, label): -sign for eid, sign in order.walk})
 
 
 def ray_sum_witness(labels, rays) -> TropicalWitness | None:

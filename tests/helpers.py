@@ -194,16 +194,22 @@ def no_double_description(*args, **kwargs):
     raise AssertionError("the double description ran")
 
 
-def workload_items():
-    """Every input of the benchmark's four workloads at run seed 0, with its
-    graph, and for the library workloads its planted eta, built."""
+def workload_items(seed: int = 0, op: str | None = None):
+    """Every input of the benchmark's workloads at a run seed, with its
+    graph, and for the library workloads its planted eta, built; ``op``
+    ("report" or "library") keeps only the workloads of that op."""
     perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
     sys.path.insert(0, perfbench)
     try:
         import workloads
     finally:
         sys.path.remove(perfbench)
-    items = [item for workload in workloads.WORKLOADS.values() for item in workload.build(0)]
+    items = [
+        item
+        for workload in workloads.WORKLOADS.values()
+        if op in (None, workload.op)
+        for item in workload.build(seed)
+    ]
     for item in items:
         workloads.prepare(item)
     return items
@@ -212,3 +218,25 @@ def workload_items():
 def workload_graphs():
     """Every graph of the benchmark's four workloads at run seed 0."""
     return [item.graph for item in workload_items()]
+
+
+def random_one_divisor_graph(rng: random.Random, max_vertices: int = 7, max_edges: int = 9) -> DecoratedDualGraph:
+    """One-divisor graph drawn with no regard for the axioms.
+
+    Depths, endpoints and contacts are independent: depth-{} vertices
+    under nonzero contacts, loops, parallel edges, edge depths other than
+    the union of their endpoints' and disconnected graphs all occur.
+    Contacts are mostly 0 or ±1, so equal levels and long chains of the
+    order are common.
+    """
+    n_v = rng.randint(1, max_vertices)
+    vids = [f"v{i}" for i in range(n_v)]
+    one = frozenset({"1"})
+    vertices = tuple(VertexData(vid, 0, f"deg{vid}", one if rng.random() < 0.8 else frozenset()) for vid in vids)
+    edges = []
+    for k in range(rng.randint(0, max_edges)):
+        a = rng.choice(vids)
+        b = a if n_v == 1 or rng.random() < 0.05 else rng.choice([vid for vid in vids if vid != a])
+        depth = one if rng.random() < 0.9 else frozenset()
+        edges.append(EdgeData(f"e{k}", a, b, depth, (rng.choice((-2, -1, 0, 0, 1, 1, 2)),)))
+    return DecoratedDualGraph(("1",), vertices, tuple(edges), ())

@@ -133,6 +133,14 @@ def test_corpus_names_only_its_entries(capsys, name):
     assert err == f"error: no corpus entry named {name!r}\n"
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_empty_corpus_name_is_an_unlisted_name(capsys, flags):
+    # an empty name is given, not omitted: it fails like any other unlisted one
+    code, out, err = run(capsys, "corpus", "", *flags)
+    assert (code, out) == (1, "")
+    assert err == "error: no corpus entry named ''\n"
+
+
 @pytest.mark.parametrize("command", ["dims", "report"])
 @pytest.mark.parametrize(
     "entry, message",

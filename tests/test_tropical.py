@@ -1,8 +1,13 @@
+import collections
 import dataclasses
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +15,15 @@ from logcone import report, tropical
 from logcone.cli import main
 from logcone.cone import sigma_cone
 from logcone.corpus import corpus_list, corpus_load
-from logcone.graph import StructuralError, validate_graph
+from logcone.graph import (
+    DecoratedDualGraph,
+    EdgeData,
+    StructuralError,
+    VertexData,
+    enumerate_edge_decorations,
+    smooth_divisor_partial_order,
+    validate_graph,
+)
 from logcone.lattice import LatticeSummary, build_rho, lattice_summary
 from logcone.serialize import graph_to_dict
 from logcone.tropical import (
@@ -27,11 +40,15 @@ from logcone.tropical import (
 
 from helpers import (
     matching_context,
+    no_double_description,
     random_free_graph,
     random_layered_graph,
+    random_one_divisor_graph,
     random_reorientation,
     random_witness_graph,
+    replace_extreme_rays,
     workload_graphs,
+    workload_items,
 )
 from reference_tropical import decide as reference_decide
 
@@ -74,19 +91,145 @@ def test_equalities_are_the_nonzero_rows_of_minus_rho_on_its_domain():
         assert keys == [key for row, key in minus if any(row)]
 
 
+def assert_decided(g, got, want):
+    """``got`` from :func:`decide` against ``want`` from the reference solve:
+    equal with several divisors; with one, where the partial order decides,
+    the same verdict and an answer that verifies."""
+    if len(g.divisors) != 1:
+        assert got == want
+        return
+    witness, cert = got
+    assert (witness is None) == (want[0] is None) != (cert is None)
+    ok, problems = verify_witness(g, witness) if cert is None else verify_certificate(g, cert)
+    assert ok, problems
+    if cert is not None:
+        assert all(isinstance(y, int) for y in cert.multipliers.values())
+
+
+def failure_kind(g):
+    """The partial order's failure kind, with a nonzero-contact loop told
+    apart from two parallel edges that disagree."""
+    kind, *ends = smooth_divisor_partial_order(g).failure
+    return "loop" if kind == "inconsistent-parallel-edges" and ends[0] == ends[1] else kind
+
+
 def test_decide_matches_the_solve_over_its_own_labels():
     graphs = axiom_valid_graphs()
     # toricex with e1 redecorated: most of these break an axiom, and the
     # solve still covers every divisor label
     for depth in ((), ("1",), ("2",), ("1", "2")):
         graphs += [toricex_with_e1(depth, contact) for contact in itertools.product(range(-2, 3), repeat=2)]
+    rng = random.Random(78)
+    graphs += [random_one_divisor_graph(rng) for _ in range(300)]
     assert sum(bool(validate_graph(g).violations) for g in graphs) > 50
     outcomes = set()
     for g in graphs:
         got = decide(g)
-        assert got == reference_decide(g)
-        outcomes.add(got[0] is None)
-    assert outcomes == {True, False}
+        assert_decided(g, got, reference_decide(g))
+        outcomes.add((len(g.divisors) == 1, got[0] is None))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_decide_on_every_report_input(seed):
+    items = workload_items(seed, op="report")
+    assert sum(len(item.graph.divisors) == 1 for item in items) > 30
+    for item in items:
+        assert_decided(item.graph, decide(item.graph), reference_decide(item.graph))
+
+
+def test_one_divisor_graphs_never_run_the_solve(monkeypatch, tmp_path, capsys):
+    # the partial order decides every one-divisor graph, axiom-violating
+    # ones included, wherever the package asks for a verdict, and a
+    # report's cone needs no double description either
+    def no_solve(*args):
+        raise AssertionError("the exact solve ran on a one-divisor graph")
+
+    monkeypatch.setattr(tropical, "positive_kernel_point", no_solve)
+    replace_extreme_rays(monkeypatch, no_double_description)
+    rng = random.Random(79)
+    entry = corpus_load("d1rd22pt")
+    cases = [(entry.graph, entry.context)]
+    for _ in range(1000):
+        g = random_one_divisor_graph(rng)
+        cases.append((g, matching_context(g, rng)))
+    kinds = collections.Counter()
+    violations = collections.Counter()
+    for n, (g, ctx) in enumerate(cases):
+        got = decide(g)
+        assert_decided(g, got, reference_decide(g))
+        feasible = got[0] is not None
+        if not feasible:
+            kinds[failure_kind(g)] += 1
+        validation = validate_graph(g, ctx)
+        violations.update({v.code for v in validation.violations})
+        assert validation.tropical_feasible in (None, feasible)
+        out = report.build_report(g, b"", ctx)
+        assert out.get("tropical", {"feasible": feasible})["feasible"] == feasible
+        path = tmp_path / f"g{n}.json"  # a new file each time: rewriting one is slow on some file systems
+        path.write_text(json.dumps(graph_to_dict(g)))
+        assert main(["tropical", str(path), "--json"]) == (0 if feasible else 2)
+        assert json.loads(capsys.readouterr().out) == report.tropical_to_dict(*got)
+        enumerate_edge_decorations(g, ctx, bound=1)
+    assert set(kinds) == {"loop", "inconsistent-parallel-edges", "depth-level-clash", "cycle", "order-violation"}
+    assert min(kinds.values()) >= 10
+    assert {"edge-depth", "contact-support", "connectivity"} <= set(violations)
+
+
+def one_divisor_graph(vertices, edges):
+    """A one-divisor graph from (id, depth) vertices and (tail, head, contact)
+    edges named e0, e1, ..., every edge at depth {1}."""
+    one = frozenset({"1"})
+    return DecoratedDualGraph(
+        ("1",),
+        tuple(VertexData(vid, 0, "t", depth) for vid, depth in vertices),
+        tuple(EdgeData(f"e{k}", a, b, one, (c,)) for k, (a, b, c) in enumerate(edges)),
+        (),
+    )
+
+
+def test_order_certificates_ignore_hash_seed(tmp_path):
+    # each certificate walks zero-contact paths and picks the first failure
+    # in graph order; set order, which the hash seed changes, must not enter
+    one = frozenset({"1"})
+    cases = {
+        # classes {a, x, b} and {c, y, d}, each above the other
+        "cycle": (
+            one_divisor_graph(
+                [(vid, one) for vid in "abcdxy"],
+                [("a", "x", 0), ("x", "b", 0), ("c", "y", 0), ("d", "y", 0), ("a", "c", 1), ("b", "d", -2)],
+            ),
+            {"e0": 1, "e1": 1, "e2": -1, "e3": 1, "e4": -1, "e5": 1},
+        ),
+        # depth-{} z at the level of p through zero contacts
+        "depth-level-clash": (
+            one_divisor_graph(
+                [("p", one), ("q", one), ("r", one), ("z", frozenset())],
+                [("p", "q", 0), ("r", "q", 0), ("z", "r", 0), ("p", "z", 1)],
+            ),
+            {"e0": -1, "e1": 1, "e2": 1},
+        ),
+        "inconsistent-parallel-edges": (
+            one_divisor_graph([("u", one), ("w", one)], [("u", "w", 0), ("w", "u", 2)]),
+            {"e0": -1, "e1": -1},
+        ),
+    }
+    src = Path(tropical.__file__).resolve().parents[1]
+    for kind, (g, multipliers) in cases.items():
+        assert failure_kind(g) == kind
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(graph_to_dict(g)))
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            command = [sys.executable, "-m", "logcone.cli", "tropical", str(path), "--json"]
+            result = subprocess.run(command, cwd=src, env=env, capture_output=True)
+            assert result.returncode == 2, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1], kind
+        cert = json.loads(outputs[0])["certificate"]
+        assert cert == {"multipliers": {eid: {"1": y} for eid, y in multipliers.items()}}
+        assert verify_certificate(g, InfeasibilityCertificate({(eid, "1"): y for eid, y in multipliers.items()})) == (True, [])
 
 
 def test_tropical_decides_axiom_violating_graphs_over_every_label(tmp_path, capsys):
