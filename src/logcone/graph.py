@@ -10,6 +10,7 @@ operation here is a pure function.
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 from dataclasses import dataclass, field, replace
 
@@ -103,7 +104,7 @@ class DecoratedDualGraph:
         return self.divisors.index(label)
 
     def is_connected(self) -> bool:
-        return sum(edge is None for edge in _spanning_forest(self).values()) == 1
+        return sum(edge is None for edge in _spanning_forest(self.vertices, self.edges).values()) == 1
 
     def reorient(self, edge_ids) -> "DecoratedDualGraph":
         """New graph with the reference orientation of the given edges flipped."""
@@ -290,15 +291,15 @@ class PartialOrderResult:
         return self.levels is not None
 
 
-def _forest_path(up, u: str, w: str) -> list[tuple[str, int]]:
-    """Steps of the path from u to w in a forest given as vertex -> (parent,
-    edge id, step sign toward the parent), None at a root."""
+def _forest_path(parent: dict[str, EdgeData | None], u: str, w: str) -> list[tuple[str, int]]:
+    """Steps (edge id, +1 along v1 -> v2 or -1 against) of the path from u to
+    w in a forest of :func:`_spanning_forest`, climbing its parent edges."""
 
     def climb(x):
         steps = []
-        while up[x] is not None:
-            x, eid, sign = up[x]
-            steps.append((eid, sign))
+        while (e := parent[x]) is not None:
+            x, sign = (e.v2, 1) if e.v1 == x else (e.v1, -1)
+            steps.append((e.id, sign))
         return steps
 
     a, b = climb(u), climb(w)
@@ -309,29 +310,31 @@ def _forest_path(up, u: str, w: str) -> list[tuple[str, int]]:
 
 
 def smooth_divisor_partial_order(graph: DecoratedDualGraph) -> PartialOrderResult:
-    """Level function for the single-divisor case, via minimal-vertex peeling.
+    """Level function for the single-divisor case, via Kahn's rounds.
 
-    Zero contacts join vertices into classes of equal level; a nonzero
-    contact puts its head above its tail when positive, below when
-    negative.  Classes of depth-{} vertices sit at level 0; the depth-{1}
-    classes are peeled off in rounds of minimal elements, each round one
-    level higher.  Fails when a loop has a nonzero contact or parallel
-    edges disagree in sign (kind "inconsistent-parallel-edges"), when a
-    depth-{} and a depth-{1} vertex are forced to the same level
-    ("depth-level-clash"), when the strict relation contains a cycle
-    ("cycle", naming each class by its first vertex) or when a strict edge
-    ends at level 0 ("order-violation").  Edge depth sets play no part.
+    Zero contacts join vertices into classes of equal level, the trees of
+    the zero-contact edges' spanning forest; a nonzero contact puts its head
+    above its tail when positive, below when negative.  Classes of depth-{}
+    vertices sit at level 0; each of Kahn's rounds on the strict relation
+    among the depth-{1} classes is one level higher.  Fails when a loop has
+    a nonzero contact or parallel edges disagree in sign (kind
+    "inconsistent-parallel-edges"), when a depth-{} and a depth-{1} vertex
+    are forced to the same level ("depth-level-clash"), when the strict
+    relation contains a cycle ("cycle", naming each class by its first
+    vertex) or when a strict edge ends at level 0 ("order-violation").
+    Edge depth sets play no part.
 
     Success is equivalent to tropical feasibility, and this is how
     :func:`logcone.tropical.decide` settles every one-divisor graph: the
     levels are the positions.  A failure carries a ``walk`` that uses each
     edge at most once, never steps down a nonzero contact (sign times
-    contact >= 0), and is closed or ends at a depth-{} vertex: a nonzero-contact loop, two
-    parallel edges there and back, the zero-contact path from the clashing
-    depth-{1} vertex to the depth-{} one, the strict edges of the cycle
-    joined by zero-contact paths inside each class, or the violating edge.
-    Minus the sum of its rows, each oriented along the walk, is a Stiemke
-    certificate.  Everything is built in graph order, never set order.
+    contact >= 0), and is closed or ends at a depth-{} vertex: a
+    nonzero-contact loop, two parallel edges there and back, the forest
+    path from the clashing depth-{1} vertex to the depth-{} one, the strict
+    edges of the cycle joined by forest paths inside each class, or the
+    violating edge.  Minus the sum of its rows, each oriented along the
+    walk, is a Stiemke certificate.  Everything is built in graph order,
+    never set order, in time linear in the size of the graph.
     """
     if len(graph.divisors) != 1:
         raise ValueError("partial-order levels are only defined for a single divisor")
@@ -355,26 +358,13 @@ def smooth_divisor_partial_order(graph: DecoratedDualGraph) -> PartialOrderResul
             walk = ((upper[1], upper[2]), (lower[1], -lower[2]))
             return PartialOrderResult(None, ("inconsistent-parallel-edges", *key), walk)
 
-    # equal-level classes: a breadth-first forest of the zero relations,
-    # each class rooted at its first vertex in graph order
-    zero: dict[str, list[tuple[str, str, int]]] = {v.id: [] for v in graph.vertices}
-    for (a, b), (sign, eid, along) in relation.items():
-        if not sign:
-            zero[a].append((b, eid, along))
-            zero[b].append((a, eid, -along))
-    up: dict[str, tuple[str, str, int] | None] = {}
-    classes: dict[str, list[str]] = {}
-    for v in graph.vertices:
-        if v.id in up:
-            continue
-        up[v.id] = None
-        members = classes[v.id] = [v.id]
-        for x in members:  # the list grows while it is read
-            for y, eid, along in zero[x]:
-                if y not in up:
-                    up[y] = (x, eid, -along)
-                    members.append(y)
-    class_of = {m: root for root, members in classes.items() for m in members}
+    # equal-level classes: every edge between a zero pair now has contact 0,
+    # so the forest of those edges roots each class at its first vertex
+    parent = _spanning_forest(graph.vertices, [e for e in graph.edges if e.v1 != e.v2 and not e.contact[0]])
+    class_of: dict[str, str] = {}
+    for vid, e in parent.items():  # each vertex after its parent
+        class_of[vid] = vid if e is None else class_of[e.v2 if e.v1 == vid else e.v1]
+    classes = [vid for vid, e in parent.items() if e is None]
 
     # the first depth-{} and the first depth-{1} vertex of each class
     first: dict[tuple[str, bool], str] = {}
@@ -383,7 +373,7 @@ def smooth_divisor_partial_order(graph: DecoratedDualGraph) -> PartialOrderResul
     for root in classes:
         if (root, True) in first and (root, False) in first:
             a, b = first[root, True], first[root, False]
-            return PartialOrderResult(None, ("depth-level-clash", a, b), tuple(_forest_path(up, b, a)))
+            return PartialOrderResult(None, ("depth-level-clash", a, b), tuple(_forest_path(parent, b, a)))
 
     # strict edges (lo, hi, edge id, +1 when the edge runs from lo to hi),
     # and the first of them from each class to each class
@@ -398,34 +388,38 @@ def smooth_divisor_partial_order(graph: DecoratedDualGraph) -> PartialOrderResul
         preds[class_of[edge[1]]].add(class_of[edge[0]])
         link.setdefault((class_of[edge[0]], class_of[edge[1]]), edge)
 
-    levels: dict[str, int] = {}
-    zero_classes = {class_of[v.id] for v in graph.vertices if not v.depth}
-    for c in zero_classes:
-        levels[c] = 0
-    remaining = set(classes) - zero_classes
+    # Kahn's rounds over the classes above level 0: a batch is handed out
+    # only once the whole previous one is done, so batch k is level k; a
+    # cycle raises in prepare() but leaves every class below it ready
+    levels = {class_of[v.id]: 0 for v in graph.vertices if not v.depth}
+    sorter = graphlib.TopologicalSorter({c: preds[c] - levels.keys() for c in classes if c not in levels})
+    try:
+        sorter.prepare()
+    except graphlib.CycleError:
+        pass
     level = 1
-    while remaining:
-        minimal = {c for c in remaining if not (preds[c] & remaining)}
-        if not minimal:
-            # walk predecessors, first in class order, until a class repeats
-            c = next(x for x in classes if x in remaining)
-            seen: list[str] = []
-            while c not in seen:
-                seen.append(c)
-                c = next(x for x in classes if x in preds[c] and x in remaining)
-            cycle = seen[seen.index(c):]
-            # climb each strict edge into a class, then inside it to the
-            # tail of the strict edge out of it
-            links = [link[cycle[(i + 1) % len(cycle)], hi] for i, hi in enumerate(cycle)]
-            walk = []
-            for i, (lo, hi, eid, along) in enumerate(links):
-                walk.append((eid, along))
-                walk += _forest_path(up, hi, links[i - 1][0])
-            return PartialOrderResult(None, ("cycle", *cycle, c), tuple(walk))
-        for c in minimal:
-            levels[c] = level
-        remaining -= minimal
+    while batch := sorter.get_ready():
+        levels.update(dict.fromkeys(batch, level))
+        sorter.done(*batch)
         level += 1
+
+    if len(levels) < len(classes):
+        # walk predecessors, first in class order, until a class repeats
+        rank = {c: i for i, c in enumerate(classes) if c not in levels}
+        c = next(iter(rank))
+        seen: dict[str, int] = {}
+        while c not in seen:
+            seen[c] = len(seen)
+            c = min((x for x in preds[c] if x in rank), key=rank.__getitem__)
+        cycle = list(seen)[seen[c]:]
+        # climb each strict edge into a class, then inside it to the
+        # tail of the strict edge out of it
+        links = [link[cycle[(i + 1) % len(cycle)], hi] for i, hi in enumerate(cycle)]
+        walk = []
+        for i, (lo, hi, eid, along) in enumerate(links):
+            walk.append((eid, along))
+            walk += _forest_path(parent, hi, links[i - 1][0])
+        return PartialOrderResult(None, ("cycle", *cycle, c), tuple(walk))
 
     vertex_levels = {v.id: levels[class_of[v.id]] for v in graph.vertices}
     # a strict edge into level 0 cannot be realized by any witness
@@ -466,19 +460,20 @@ def restrict_graph(graph: DecoratedDualGraph, keep) -> DecoratedDualGraph:
     )
 
 
-def _spanning_forest(graph: DecoratedDualGraph) -> dict[str, EdgeData | None]:
+def _spanning_forest(vertices, edges) -> dict[str, EdgeData | None]:
     """Breadth-first spanning forest: vertex id -> the forest edge to its parent.
 
-    Each component is rooted at its first vertex in graph order, which maps
-    to None.  The keys are in walk order, so every vertex comes after its
-    parent.
+    Each component is rooted at its first vertex in the given order, which
+    maps to None, and edges are tried in the given order.  The keys are in
+    walk order, so every vertex comes after its parent.  The partial order
+    walks only the zero-contact edges, whose trees are its level classes.
     """
-    adjacent: dict[str, list[tuple[EdgeData, str]]] = {v.id: [] for v in graph.vertices}
-    for e in graph.edges:
+    adjacent: dict[str, list[tuple[EdgeData, str]]] = {v.id: [] for v in vertices}
+    for e in edges:
         adjacent[e.v1].append((e, e.v2))
         adjacent[e.v2].append((e, e.v1))
     parent: dict[str, EdgeData | None] = {}
-    for root in graph.vertices:
+    for root in vertices:
         if root.id in parent:
             continue
         parent[root.id] = None
@@ -513,7 +508,7 @@ def enumerate_edge_decorations(
 
     if bound is not None and bound < 0:
         raise ValueError(f"the coordinate bound must be non-negative, not {bound}")
-    parent = _spanning_forest(graph)
+    parent = _spanning_forest(graph.vertices, graph.edges)
     forest = {e.id for e in parent.values() if e is not None}
     chords = [e for e in graph.edges if e.id not in forest]
     if not chords and len(parent) - len(forest) == 1:

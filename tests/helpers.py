@@ -240,3 +240,22 @@ def random_one_divisor_graph(rng: random.Random, max_vertices: int = 7, max_edge
         depth = one if rng.random() < 0.9 else frozenset()
         edges.append(EdgeData(f"e{k}", a, b, depth, (rng.choice((-2, -1, 0, 0, 1, 1, 2)),)))
     return DecoratedDualGraph(("1",), vertices, tuple(edges), ())
+
+
+def one_divisor_chain(n: int, reverse: bool = False) -> DecoratedDualGraph:
+    """A depth-{} vertex v0 below depth-{1} vertices v1, ..., v(n-1), each
+    edge e(i) of contact 1 from v(i) to v(i+1), listed bottom up or, with
+    ``reverse``, top down: its levels are 0, 1, ..., n-1."""
+    one = frozenset({"1"})
+    vertices = tuple(VertexData(f"v{i}", 0, "t", one if i else frozenset()) for i in range(n))
+    edges = tuple(EdgeData(f"e{i}", f"v{i}", f"v{i + 1}", one, (1,)) for i in range(n - 1))
+    return DecoratedDualGraph(("1",), vertices, edges[::-1] if reverse else edges, ())
+
+
+def one_divisor_cycle(n: int) -> DecoratedDualGraph:
+    """Depth-{1} vertices v0, ..., v(n-1) on a directed cycle: edge e(i) of
+    contact 1 runs from v(i) to v(i+1 mod n), so the order has no levels."""
+    one = frozenset({"1"})
+    vertices = tuple(VertexData(f"v{i}", 0, "t", one) for i in range(n))
+    edges = tuple(EdgeData(f"e{i}", f"v{i}", f"v{(i + 1) % n}", one, (1,)) for i in range(n))
+    return DecoratedDualGraph(("1",), vertices, edges, ())

@@ -23,10 +23,19 @@ from logcone.graph import (
     validate_graph,
 )
 from logcone.serialize import graph_to_dict
-from logcone.tropical import tropical_feasibility
+from logcone.tropical import decide, tropical_feasibility, verify_certificate, verify_witness
 
-from helpers import matching_context, random_free_graph, random_witness_graph
-from reference_graph import reference_enumerate_edge_decorations
+from helpers import (
+    matching_context,
+    one_divisor_chain,
+    one_divisor_cycle,
+    random_free_graph,
+    random_layered_graph,
+    random_one_divisor_graph,
+    random_reorientation,
+    random_witness_graph,
+)
+from reference_graph import reference_enumerate_edge_decorations, reference_smooth_divisor_partial_order
 
 
 def simple_graph():
@@ -217,6 +226,49 @@ def test_partial_order_cycle_certificate_ignores_hash_seed():
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)
     assert outputs == ["('cycle', 'v0', 'v7', 'v6', 'v5', 'v4', 'v0')\n"] * 2
+
+
+def test_partial_order_matches_the_peeling_reference():
+    # levels, failure tuples and walks, byte for byte, against the order
+    # that peeled one level per scan of every class
+    rng = random.Random(31)
+    graphs = []
+    for _ in range(3000):
+        g = random_one_divisor_graph(rng)
+        graphs += [g, random_reorientation(g, rng)]
+    for _ in range(300):
+        graphs += [
+            random_witness_graph(rng, max_divisors=1),
+            random_free_graph(rng),
+            random_layered_graph(rng, max_layers=4, max_width=4, max_divisors=1),
+        ]
+    graphs += [one_divisor_chain(3000), one_divisor_chain(3000, reverse=True), one_divisor_cycle(3000)]
+    kinds = set()
+    for g in graphs:
+        result = smooth_divisor_partial_order(g)
+        assert result == reference_smooth_divisor_partial_order(g)
+        if not result.ok:
+            kind, *ends = result.failure
+            kinds.add("loop" if kind == "inconsistent-parallel-edges" and ends[0] == ends[1] else kind)
+    assert kinds == {"loop", "inconsistent-parallel-edges", "depth-level-clash", "cycle", "order-violation"}
+
+
+def test_partial_order_on_long_chains_and_cycles():
+    # results only: the order once took quadratic time on these
+    n = 10_000
+    for g in (one_divisor_chain(n), one_divisor_chain(n, reverse=True)):
+        assert smooth_divisor_partial_order(g).levels == {f"v{i}": i for i in range(n)}
+        witness, cert = decide(g)
+        assert cert is None
+        assert verify_witness(g, witness) == (True, [])
+    g = one_divisor_cycle(n)
+    result = smooth_divisor_partial_order(g)
+    # from v0 each step goes to the one predecessor, down the cycle
+    assert result.failure == ("cycle", "v0", *(f"v{i}" for i in range(n - 1, 0, -1)), "v0")
+    assert sorted(result.walk) == sorted((f"e{i}", 1) for i in range(n))
+    witness, cert = decide(g)
+    assert witness is None
+    assert verify_certificate(g, cert) == (True, [])
 
 
 def test_partial_order_requires_single_divisor():

@@ -25,7 +25,7 @@ from logcone.graph import (
     validate_graph,
 )
 from logcone.lattice import LatticeSummary, build_rho, lattice_summary
-from logcone.serialize import graph_to_dict
+from logcone.serialize import graph_to_dict, witness_from_dict
 from logcone.tropical import (
     InfeasibilityCertificate,
     TropicalWitness,
@@ -230,6 +230,29 @@ def test_order_certificates_ignore_hash_seed(tmp_path):
         cert = json.loads(outputs[0])["certificate"]
         assert cert == {"multipliers": {eid: {"1": y} for eid, y in multipliers.items()}}
         assert verify_certificate(g, InfeasibilityCertificate({(eid, "1"): y for eid, y in multipliers.items()})) == (True, [])
+    # a feasible layered graph whose upper classes have several predecessors
+    # each, {d, x} three of them: the levels come from a topological sorter
+    # fed sets, and the witness must not follow their order
+    g = one_divisor_graph(
+        [("z", frozenset())] + [(vid, one) for vid in "abcdxef"],
+        [("z", "a", 1), ("z", "b", 2), ("z", "c", 1), ("a", "d", 1), ("b", "x", 1), ("c", "d", 2), ("d", "x", 0)]
+        + [("a", "e", 2), ("c", "e", 1), ("d", "f", 1), ("e", "f", 1), ("a", "f", 3)],
+    )
+    levels = dict(z=0, a=1, b=1, c=1, d=2, x=2, e=2, f=3)
+    assert smooth_divisor_partial_order(g).levels == levels
+    path = tmp_path / "layered.json"
+    path.write_text(json.dumps(graph_to_dict(g)))
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        command = [sys.executable, "-m", "logcone.cli", "tropical", str(path), "--json"]
+        result = subprocess.run(command, cwd=src, env=env, capture_output=True)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    witness = witness_from_dict(json.loads(outputs[0])["witness"])
+    assert witness.s == {(vid, "1"): level for vid, level in levels.items() if vid != "z"}
+    assert verify_witness(g, witness) == (True, [])
 
 
 def test_tropical_decides_axiom_violating_graphs_over_every_label(tmp_path, capsys):
